@@ -119,15 +119,18 @@ echo "== QGPU_NATIVE kernel differential pass ($NATIVE_DIR) =="
 require_cache "$NATIVE_DIR" "QGPU_NATIVE=ON" "QGPU_SANITIZE="
 cmake -B "$NATIVE_DIR" -S . -DQGPU_NATIVE=ON
 cmake --build "$NATIVE_DIR" -j "$JOBS" --target test_kernel_dispatch \
-    test_sweep_executor test_shard_differential
+    test_sweep_executor test_shard_differential test_engine_golden
 # The sweep suite rides along: sweep execution chains kernels over a
 # cache-resident chunk, so its bit-identity-to-gate-by-gate contract
 # must also hold under the vectorized code generation. The shard
 # differential (single- vs multi-device, tolerance 0) rides along for
 # the same reason: its contract is bit-identity of the same kernels
-# under a different schedule.
+# under a different schedule. The engine golden suite shows the pinned
+# modeled numbers (and the trace's agreement with them) do not depend
+# on codegen either: the codec ratio model reads the computed
+# amplitudes, so they must match bit for bit.
 ctest --test-dir "$NATIVE_DIR" --output-on-failure -j "$JOBS" \
-    -R 'KernelDispatch|Sweep|ShardDifferential'
+    -R 'KernelDispatch|Sweep|ShardDifferential|EngineGolden|TraceConsistency'
 
 if [ "$RUN_TSAN" -eq 1 ]; then
     TSAN_DIR="${TSAN_DIR:-build-tsan}"

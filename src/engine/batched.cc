@@ -6,11 +6,9 @@
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/rng.hh"
-#include "fault/injector.hh"
 #include "fault/integrity.hh"
 #include "qc/fusion.hh"
 #include "statevec/apply.hh"
-#include "statevec/chunked.hh"
 #include "statevec/kernel_dispatch.hh"
 #include "statevec/measure.hh"
 
@@ -134,6 +132,21 @@ ExecutionEngine::runBatched(const Circuit &circuit,
                    : shot_seeds[i];
     };
 
+    // Sample one shot's outcome from its final state, apply readout
+    // error, and tally it.
+    const auto record = [&](const auto &state, Rng &rng) {
+        Index outcome = sampleOutcome(state, rng);
+        if (model.readoutArmed()) {
+            const Index flips = model.sampleReadoutFlips(n, rng);
+            br.stats.add(statkeys::noiseReadoutFlips,
+                         static_cast<double>(bits::popcount(flips)));
+            outcome ^= flips;
+        }
+        br.outcomes.push_back(outcome);
+        ++br.counts[outcome];
+        br.stats.add(statkeys::shotsTotal, 1.0);
+    };
+
     if (options_.batchMode == BatchMode::PerShot) {
         // Apply the order-changing passes once so sampled errors
         // attach to the same executed sequence Shared mode sees —
@@ -159,19 +172,9 @@ ExecutionEngine::runBatched(const Circuit &circuit,
             }
             br.stats.add(statkeys::noiseEvents,
                          static_cast<double>(events.size()));
-            Index outcome = sampleOutcome(rr.state, rng);
-            if (model.readoutArmed()) {
-                const Index flips = model.sampleReadoutFlips(n, rng);
-                br.stats.add(statkeys::noiseReadoutFlips,
-                             static_cast<double>(
-                                 bits::popcount(flips)));
-                outcome ^= flips;
-            }
-            br.outcomes.push_back(outcome);
-            ++br.counts[outcome];
+            record(rr.state, rng);
             if (options_.keepShotStates)
                 br.states.push_back(std::move(rr.state));
-            br.stats.add(statkeys::shotsTotal, 1.0);
         }
     } else {
         const WallClock plan_wall;
@@ -195,15 +198,8 @@ ExecutionEngine::runBatched(const Circuit &circuit,
             br.stats.add(statkeys::noiseEvents,
                          static_cast<double>(events.size()));
             try {
-                FaultInjector injector(
-                    FaultSpec::resolve(options_.faultSpec),
-                    options_.faultSeed);
-                ChunkedStateVector state(
-                    n, plan.chunkBits,
-                    makeStorageConfig(options_, &injector));
-                if (options_.precision != Precision::f64)
-                    state.setPrecision(options_.precision,
-                                       options_.adaptiveThreshold);
+                RunState run_state(options_, n, plan.chunkBits);
+                ChunkedStateVector &state = run_state.state;
 
                 std::size_t ev = 0;
                 for (const PlanSweep &ps : plan.sweeps) {
@@ -248,20 +244,9 @@ ExecutionEngine::runBatched(const Circuit &circuit,
                     state.refreshPrecision();
                 }
 
-                Index outcome = sampleOutcome(state, rng);
-                if (model.readoutArmed()) {
-                    const Index flips =
-                        model.sampleReadoutFlips(n, rng);
-                    br.stats.add(statkeys::noiseReadoutFlips,
-                                 static_cast<double>(
-                                     bits::popcount(flips)));
-                    outcome ^= flips;
-                }
-                br.outcomes.push_back(outcome);
-                ++br.counts[outcome];
+                record(state, rng);
                 if (options_.keepShotStates)
                     br.states.push_back(state.toFlat());
-                br.stats.add(statkeys::shotsTotal, 1.0);
             } catch (const SimException &e) {
                 br.error = e.error();
                 br.stats.add(intkeys::simErrors, 1.0);

@@ -6,58 +6,22 @@
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
-#include "fault/injector.hh"
 #include "fault/integrity.hh"
-#include "statevec/chunked.hh"
 #include "statevec/kernel_dispatch.hh"
 
 namespace qgpu
 {
 
-StorageConfig
-makeStorageConfig(const ExecOptions &options, FaultInjector *injector)
+RunState::RunState(const ExecOptions &options, int num_qubits,
+                   int chunk_bits)
+    : injector(FaultSpec::resolve(options.faultSpec), options.faultSeed),
+      state(num_qubits, chunk_bits,
+            StorageConfig{options.storage, options.workingSetChunks,
+                          options.spillDir, &injector,
+                          options.transferRetries})
 {
-    StorageConfig cfg;
-    cfg.kind = options.storage;
-    cfg.workingSetChunks = options.workingSetChunks;
-    cfg.spillDir = options.spillDir;
-    cfg.injector = injector;
-    cfg.retries = options.transferRetries;
-    return cfg;
-}
-
-void
-exportStorageStats(const ChunkedStateVector &state, StatSet &stats)
-{
-    if (!state.boundedStorage())
-        return;
-    const StorageStats s = state.storageStats();
-    stats.set(statkeys::storageCold,
-              static_cast<double>(s.coldChunks));
-    stats.set(statkeys::storageEvictions,
-              static_cast<double>(s.evictions));
-    stats.set(statkeys::storageHits,
-              static_cast<double>(s.decompressHits));
-    stats.set(statkeys::storageMisses,
-              static_cast<double>(s.decompressMisses));
-    stats.set(statkeys::storageZeroFills,
-              static_cast<double>(s.zeroFills));
-    stats.set(statkeys::storageResidentBytes,
-              static_cast<double>(s.residentBytes));
-    stats.set(statkeys::storageColdBytes,
-              static_cast<double>(s.coldBytes));
-    stats.set(statkeys::storageSpillBytes,
-              static_cast<double>(s.spillBytes));
-    stats.set(statkeys::storagePeakBytes,
-              static_cast<double>(s.peakHostBytes));
-    stats.set(statkeys::storageVerified,
-              static_cast<double>(s.verified));
-    stats.set(statkeys::storageRetries,
-              static_cast<double>(s.retries));
-    stats.set(statkeys::storageRawFallbacks,
-              static_cast<double>(s.rawFallbacks));
-    stats.set(statkeys::storageWorkingSet,
-              static_cast<double>(s.workingSet));
+    if (options.precision != Precision::f64)
+        state.setPrecision(options.precision, options.adaptiveThreshold);
 }
 
 bool

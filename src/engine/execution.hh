@@ -19,20 +19,19 @@
 
 #include "common/stats.hh"
 #include "common/trace.hh"
+#include "fault/injector.hh"
 #include "fault/sim_error.hh"
 #include "prune/involvement.hh"
 #include "qc/circuit.hh"
 #include "reorder/reorder.hh"
 #include "sim/machine.hh"
 #include "sim/timeline.hh"
-#include "statevec/chunk_storage.hh"
+#include "statevec/chunked.hh"
 #include "statevec/state_vector.hh"
 
 namespace qgpu
 {
 
-class ChunkedStateVector;
-class FaultInjector;
 struct BatchResult;
 
 /** Canonical stat keys every engine reports (others may be added). */
@@ -172,9 +171,6 @@ struct ExecOptions
      */
     int codecSampleChunks = 4;
 
-    /** Per-gate host/device synchronization latency (seconds). */
-    double syncLatency = 20e-6;
-
     /** Host threads for CPU-side work (0 = all cores). */
     int hostThreads = 0;
 
@@ -305,21 +301,19 @@ struct ExecOptions
 };
 
 /**
- * The StorageConfig an engine's state should run under: the options'
- * backend/bound plus the run's fault injector (codec/alloc points
- * reach eviction and refill) and retry budget.
+ * What every run builds first: the deterministic fault injector, then
+ * the chunked state at @p chunk_bits on the options' storage backend
+ * (whose eviction and refill draw codec/alloc faults from the same
+ * injector) and precision.
  */
-StorageConfig makeStorageConfig(const ExecOptions &options,
-                                FaultInjector *injector);
+struct RunState
+{
+    RunState(const ExecOptions &options, int num_qubits,
+             int chunk_bits);
 
-/**
- * Export the state's storage.* counters into @p stats (no-op under
- * raw storage). Engines call this right before flattening the final
- * state; ExecutionEngine::run mirrors the family into the global
- * MetricsRegistry.
- */
-void exportStorageStats(const ChunkedStateVector &state,
-                        StatSet &stats);
+    FaultInjector injector;
+    ChunkedStateVector state;
+};
 
 /** Outcome of one engine run. */
 struct RunResult

@@ -1,7 +1,5 @@
 #include "engine/versions.hh"
 
-#include "common/logging.hh"
-#include "engine/baseline.hh"
 #include "engine/streaming.hh"
 
 namespace qgpu
@@ -35,40 +33,19 @@ std::unique_ptr<ExecutionEngine>
 makeVersion(Version version, Machine &machine, ExecOptions base)
 {
     ExecOptions o = base;
-    switch (version) {
-      case Version::Baseline:
-        return std::make_unique<BaselineEngine>(machine, o);
-      case Version::Naive:
-        o.overlap = false;
-        o.prune = false;
-        o.reorder = ReorderKind::None;
-        o.compress = false;
-        break;
-      case Version::Overlap:
-        o.overlap = true;
-        o.prune = false;
-        o.reorder = ReorderKind::None;
-        o.compress = false;
-        break;
-      case Version::Pruning:
-        o.overlap = true;
-        o.prune = true;
-        o.reorder = ReorderKind::None;
-        o.compress = false;
-        break;
-      case Version::Reorder:
-        o.overlap = true;
-        o.prune = true;
-        o.reorder = ReorderKind::ForwardLooking;
-        o.compress = false;
-        break;
-      case Version::QGpu:
-        o.overlap = true;
-        o.prune = true;
-        o.reorder = ReorderKind::ForwardLooking;
-        o.compress = true;
-        break;
+    if (version == Version::Baseline) {
+        // Keeps the caller's flags: the host-static placement ignores
+        // them, while runBatched's shared plan still reads them.
+        return std::make_unique<StreamingEngine>(
+            machine, o, versionName(version), Allocation::HostStatic);
     }
+    // The recipe is cumulative: each version in paper order adds one
+    // optimization to the one before it.
+    o.overlap = version >= Version::Overlap;
+    o.prune = version >= Version::Pruning;
+    o.reorder = version >= Version::Reorder ? ReorderKind::ForwardLooking
+                                            : ReorderKind::None;
+    o.compress = version >= Version::QGpu;
     return std::make_unique<StreamingEngine>(machine, o,
                                              versionName(version));
 }

@@ -68,6 +68,28 @@ TEST(EngineStats, PrunedPlusProcessedIsConstantPerGatePlan)
         plain.stats.get(statkeys::chunksProcessed));
 }
 
+TEST(EngineStats, ResidentPruningReportsChunkCounters)
+{
+    // One device holding the whole state: pruning still reports its
+    // counters and decision markers. The chunk geometry is fixed
+    // (10 qubits split into the default 256 chunks), so every gate
+    // visits every chunk, live or pruned.
+    const int n = 10;
+    Machine m = machines::makeScaled(n, machines::p100(), 1.0);
+    ExecOptions o;
+    o.keepState = false;
+    o.recordTrace = true;
+    const Circuit c = circuits::makeBenchmark("bv", n);
+    const RunResult r = harness::runOn("pruning", m, c, o);
+    const double pruned = r.stats.get(statkeys::chunksPruned);
+    EXPECT_GT(pruned, 0.0);
+    EXPECT_DOUBLE_EQ(pruned + r.stats.get(statkeys::chunksProcessed),
+                     static_cast<double>(c.numGates()) *
+                         static_cast<double>(o.targetChunks));
+    EXPECT_EQ(r.trace.phaseTotals().at(phases::prune).spans,
+              c.numGates());
+}
+
 TEST(EngineStats, TransferMetricSemantics)
 {
     // Serial engines report transfer = h2d + d2h; overlapped engines
