@@ -140,7 +140,8 @@ if [ "$RUN_TSAN" -eq 1 ]; then
     cmake --build "$TSAN_DIR" -j "$JOBS" --target test_common \
         test_statevec test_compress test_thread_determinism \
         test_sweep_executor test_shard_differential test_service \
-        test_batched_differential
+        test_batched_differential test_chunk_storage \
+        test_storage_differential
     # The parallelism-focused suites: the pool itself, the pool-backed
     # parallelFor / threaded apply, the cross-thread determinism +
     # stress tests, the sweep executor (whose group fan-out chains
@@ -150,9 +151,12 @@ if [ "$RUN_TSAN" -eq 1 ]; then
     # cross-thread cache/single-flight traffic, and engine runs
     # multiplexed onto the shared pool), and the batched-shot
     # differential (noisy shots replayed at 1 and 4 host threads must
-    # stay bit-identical while the apply path fans out).
+    # stay bit-identical while the apply path fans out). The storage
+    # suites join because a pinned block's refills run as one pool
+    # task, concurrently with the scheduling thread that evicts and
+    # pins the next block.
     ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|TaskGroup|SimThreads|ParallelFor|ThreadedApply|Determinism|Stress|Sweep|ShardDifferential|Service|ResultCache|Batched'
+        -R 'ThreadPool|TaskGroup|SimThreads|ParallelFor|ThreadedApply|Determinism|Stress|Sweep|ShardDifferential|Service|ResultCache|Batched|ColdStoreRoundTrip|BoundedState|StorageDifferential'
 fi
 
 if [ "$RUN_ASAN" -eq 1 ]; then

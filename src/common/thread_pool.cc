@@ -102,8 +102,14 @@ ThreadPool::global()
 int
 ThreadPool::hardwareThreads()
 {
-    const unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : static_cast<int>(n);
+    // glibc answers hardware_concurrency() by reading
+    // /sys/devices/system/cpu/online; every parallelFor asks, so read
+    // it once.
+    static const int threads = [] {
+        const unsigned n = std::thread::hardware_concurrency();
+        return n == 0 ? 1 : static_cast<int>(n);
+    }();
+    return threads;
 }
 
 TaskGroup::TaskGroup(ThreadPool &pool) : pool_(pool)

@@ -79,7 +79,11 @@ class ThreadPool
      */
     static ThreadPool &global();
 
-    /** max(1, std::thread::hardware_concurrency()). */
+    /**
+     * max(1, std::thread::hardware_concurrency()), computed at the
+     * first call and cached: the query reads sysfs, and parallelFor
+     * asks on every call. CPU hotplug after that call is not tracked.
+     */
     static int hardwareThreads();
 
   private:

@@ -139,6 +139,51 @@ codecGrain()
 }
 
 /**
+ * True when a pass over @p m words runs as one range: one worker, or
+ * under two codec grains of work (evenRanges would not split it).
+ * Such passes skip the pool and every per-range scratch vector.
+ */
+bool
+singleRange(std::uint64_t m, int threads)
+{
+    return threads <= 1 || m < 2 * codecGrain();
+}
+
+/**
+ * Workers for the segments of a block of @p count words: a block
+ * under one codec grain is less work than a pool round trip and
+ * stays on the calling thread.
+ */
+int
+blockThreads(std::uint64_t count)
+{
+    return count < codecGrain() ? 1 : simThreads();
+}
+
+/**
+ * Run @p body(i) for i in [0, n): across the pool, one item per
+ * task, when @p threads > 1; as a plain loop otherwise (no
+ * std::function, no pool round trip).
+ */
+template <typename Body>
+void
+forEachItem(std::uint64_t n, int threads, const Body &body)
+{
+    if (threads <= 1) {
+        for (std::uint64_t i = 0; i < n; ++i)
+            body(i);
+        return;
+    }
+    parallelFor(
+        0, n, threads,
+        [&](std::uint64_t lo, std::uint64_t hi) {
+            for (std::uint64_t i = lo; i < hi; ++i)
+                body(i);
+        },
+        1);
+}
+
+/**
  * Split [0, m) into at most @p threads ranges on even element
  * boundaries (two elements share a nibble byte, so an even split
  * keeps every output byte owned by exactly one range).
@@ -207,32 +252,24 @@ encodeSegment(const Fp *seg, std::uint64_t m, int warp, int threads,
               std::uint8_t *dst)
 {
     const std::uint64_t nib_len = (m + 1) / 2;
-    const auto ranges = evenRanges(m, threads);
-    if (ranges.size() == 1) {
+    if (singleRange(m, threads)) {
         encodeRange(seg, 0, m, warp, dst, dst + nib_len);
         return;
     }
+    const auto ranges = evenRanges(m, threads);
     // Pass 1: payload size of each range; prefix-sum the offsets.
     std::vector<std::uint64_t> offset(ranges.size() + 1, 0);
-    parallelFor(
-        0, ranges.size(), threads,
-        [&](std::uint64_t lo, std::uint64_t hi) {
-            for (std::uint64_t r = lo; r < hi; ++r)
-                offset[r + 1] = payloadBytesRange(
-                    seg, ranges[r].first, ranges[r].second, warp);
-        },
-        1);
+    forEachItem(ranges.size(), threads, [&](std::uint64_t r) {
+        offset[r + 1] = payloadBytesRange(seg, ranges[r].first,
+                                          ranges[r].second, warp);
+    });
     for (std::size_t r = 1; r <= ranges.size(); ++r)
         offset[r] += offset[r - 1];
     // Pass 2: each range encodes into its own slice.
-    parallelFor(
-        0, ranges.size(), threads,
-        [&](std::uint64_t lo, std::uint64_t hi) {
-            for (std::uint64_t r = lo; r < hi; ++r)
-                encodeRange(seg, ranges[r].first, ranges[r].second,
-                            warp, dst, dst + nib_len + offset[r]);
-        },
-        1);
+    forEachItem(ranges.size(), threads, [&](std::uint64_t r) {
+        encodeRange(seg, ranges[r].first, ranges[r].second, warp, dst,
+                    dst + nib_len + offset[r]);
+    });
 }
 
 /** Nibble of element @p i read back from the nibble area. */
@@ -244,11 +281,45 @@ nibbleAt(const std::uint8_t *nib_area, std::uint64_t i)
                       : static_cast<std::uint8_t>(packed >> 4);
 }
 
+/** Payload bytes the nibbles of elements [lo, hi) announce. */
+template <typename W>
+std::uint64_t
+nibblePayloadBytes(const std::uint8_t *nib_area, std::uint64_t lo,
+                   std::uint64_t hi)
+{
+    constexpr int word_bytes = static_cast<int>(sizeof(W));
+    std::uint64_t total = 0;
+    for (std::uint64_t i = lo; i < hi; ++i)
+        total += static_cast<std::uint64_t>(
+            word_bytes - (nibbleAt(nib_area, i) & 0x7));
+    return total;
+}
+
+/**
+ * Read element @p i's signed residual addend (mod 2^width) from
+ * @p payload, advancing it past the element's magnitude bytes.
+ */
+template <typename W>
+W
+readAddend(const std::uint8_t *nib_area, std::uint64_t i,
+           const std::uint8_t *&payload)
+{
+    const std::uint8_t nib = nibbleAt(nib_area, i);
+    const int bytes = static_cast<int>(sizeof(W)) - (nib & 0x7);
+    W mag = 0;
+    for (int b = 0; b < bytes; ++b)
+        mag |= static_cast<W>(*payload++) << (8 * b);
+    return (nib & 0x8) ? static_cast<W>(~mag + 1) : mag;
+}
+
 /**
  * Decode one segment of @p m words from @p src (sized @p seg_bytes,
- * validated against the nibble-derived layout) into @p out.
+ * validated against the nibble-derived layout before any payload
+ * byte is read) into @p out.
  *
- * The parallel path reconstructs each lane's running value with a
+ * A single-range segment decodes in one pass: element i is element
+ * i - warp plus its addend, read back from @p out itself. The
+ * parallel path reconstructs each lane's running value with a
  * prefix combine: residual addends are mod-2^width integers, so
  * partial per-range, per-lane sums compose exactly, and every range
  * can decode independently from its combined lane start state.
@@ -259,67 +330,57 @@ decodeSegment(const std::uint8_t *src, std::uint64_t seg_bytes,
               std::uint64_t m, int warp, int threads, Fp *out)
 {
     using W = Word<Fp>;
-    constexpr int word_bytes = static_cast<int>(sizeof(W));
     const std::uint64_t nib_len = (m + 1) / 2;
     if (seg_bytes < nib_len)
         QGPU_PANIC("GFC segment of ", m, " words shorter (",
                    seg_bytes, " bytes) than its nibble area");
     const std::uint8_t *payload_area = src + nib_len;
     const std::uint64_t payload_len = seg_bytes - nib_len;
+    const std::uint64_t uwarp = static_cast<std::uint64_t>(warp);
+    const auto check_payload = [&](std::uint64_t implied) {
+        if (implied != payload_len)
+            QGPU_PANIC("GFC segment nibbles imply ", implied,
+                       " payload bytes, header says ", payload_len);
+    };
+
+    if (singleRange(m, threads)) {
+        check_payload(nibblePayloadBytes<W>(src, 0, m));
+        const std::uint8_t *payload = payload_area;
+        for (std::uint64_t i = 0; i < m; ++i) {
+            const W prev = i >= uwarp ? toBits(out[i - uwarp]) : W{0};
+            out[i] = fromBits<Fp>(static_cast<W>(
+                prev + readAddend<W>(src, i, payload)));
+        }
+        return;
+    }
 
     const auto ranges = evenRanges(m, threads);
     const std::size_t num_ranges = ranges.size();
-    const std::uint64_t uwarp = static_cast<std::uint64_t>(warp);
 
     // Payload offset of each range, from the nibble area alone.
     std::vector<std::uint64_t> offset(num_ranges + 1, 0);
-    parallelFor(
-        0, num_ranges, threads,
-        [&](std::uint64_t lo, std::uint64_t hi) {
-            for (std::uint64_t r = lo; r < hi; ++r) {
-                std::uint64_t total = 0;
-                for (std::uint64_t i = ranges[r].first;
-                     i < ranges[r].second; ++i)
-                    total += static_cast<std::uint64_t>(
-                        word_bytes - (nibbleAt(src, i) & 0x7));
-                offset[r + 1] = total;
-            }
-        },
-        1);
+    forEachItem(num_ranges, threads, [&](std::uint64_t r) {
+        offset[r + 1] = nibblePayloadBytes<W>(src, ranges[r].first,
+                                              ranges[r].second);
+    });
     for (std::size_t r = 1; r <= num_ranges; ++r)
         offset[r] += offset[r - 1];
-    if (offset[num_ranges] != payload_len)
-        QGPU_PANIC("GFC segment nibbles imply ", offset[num_ranges],
-                   " payload bytes, header says ", payload_len);
+    check_payload(offset[num_ranges]);
 
     // Pass 2: decode each range's signed residual addends (stashed
     // in out as raw bit patterns) and its per-lane addend sums.
     std::vector<W> lane_sums(
         num_ranges * static_cast<std::size_t>(warp), 0);
-    parallelFor(
-        0, num_ranges, threads,
-        [&](std::uint64_t lo, std::uint64_t hi) {
-            for (std::uint64_t r = lo; r < hi; ++r) {
-                const std::uint8_t *payload =
-                    payload_area + offset[r];
-                W *lanes = lane_sums.data() +
-                           r * static_cast<std::uint64_t>(warp);
-                for (std::uint64_t i = ranges[r].first;
-                     i < ranges[r].second; ++i) {
-                    const std::uint8_t nib = nibbleAt(src, i);
-                    const int bytes = word_bytes - (nib & 0x7);
-                    W mag = 0;
-                    for (int b = 0; b < bytes; ++b)
-                        mag |= static_cast<W>(*payload++) << (8 * b);
-                    const W addend = (nib & 0x8)
-                                         ? static_cast<W>(~mag + 1)
-                                         : mag; // mod 2^width
-                    lanes[i % uwarp] += addend;
-                    out[i] = fromBits<Fp>(addend);
-                }
-            }
-        },
-        1);
+    forEachItem(num_ranges, threads, [&](std::uint64_t r) {
+        const std::uint8_t *payload = payload_area + offset[r];
+        W *lanes = lane_sums.data() + r * uwarp;
+        for (std::uint64_t i = ranges[r].first; i < ranges[r].second;
+             ++i) {
+            const W addend = readAddend<W>(src, i, payload);
+            lanes[i % uwarp] += addend;
+            out[i] = fromBits<Fp>(addend);
+        }
+    });
 
     // Serial combine: lane start states per range.
     std::vector<W> lane_base(lane_sums.size(), 0);
@@ -331,24 +392,17 @@ decodeSegment(const std::uint8_t *src, std::uint64_t seg_bytes,
                 lane_sums[(r - 1) * static_cast<std::size_t>(warp) +
                           l];
 
-    // Pass 3: turn addends into values from each lane's start state.
-    parallelFor(
-        0, num_ranges, threads,
-        [&](std::uint64_t lo, std::uint64_t hi) {
-            std::vector<W> lane(static_cast<std::size_t>(warp));
-            for (std::uint64_t r = lo; r < hi; ++r) {
-                std::copy_n(lane_base.data() +
-                                r * static_cast<std::uint64_t>(warp),
-                            warp, lane.begin());
-                for (std::uint64_t i = ranges[r].first;
-                     i < ranges[r].second; ++i) {
-                    W &v = lane[i % uwarp];
-                    v += toBits(out[i]); // addend, mod 2^width
-                    out[i] = fromBits<Fp>(v);
-                }
-            }
-        },
-        1);
+    // Pass 3: turn addends into values from each lane's start state
+    // (kept in lane_base, whose range-r slice only range r touches).
+    forEachItem(num_ranges, threads, [&](std::uint64_t r) {
+        W *lane = lane_base.data() + r * uwarp;
+        for (std::uint64_t i = ranges[r].first; i < ranges[r].second;
+             ++i) {
+            W &v = lane[i % uwarp];
+            v += toBits(out[i]); // addend, mod 2^width
+            out[i] = fromBits<Fp>(v);
+        }
+    });
 }
 
 void
@@ -387,46 +441,39 @@ compressIntoImpl(const Fp *data, std::uint64_t count, int warp,
         bits::ceilDiv(count, static_cast<std::uint64_t>(segments));
     const int num_segs =
         per == 0 ? 0 : static_cast<int>(bits::ceilDiv(count, per));
-    const int threads = simThreads();
+    const int threads = blockThreads(count);
 
     // Pass 1: exact size of every segment, so the stream is written
     // in place (parallel across segments; a lone segment
     // parallelizes internally instead).
     std::vector<std::uint64_t> seg_bytes(num_segs, 0);
-    const auto seg_span = [&](int s) {
-        const std::uint64_t lo = static_cast<std::uint64_t>(s) * per;
+    const auto seg_span = [&](std::uint64_t s) {
+        const std::uint64_t lo = s * per;
         return std::pair<std::uint64_t, std::uint64_t>{
             lo, std::min(count, lo + per)};
     };
     const int outer = num_segs > 1 ? threads : 1;
     const int inner = num_segs > 1 ? 1 : threads;
-    parallelFor(
-        0, num_segs, outer,
-        [&](std::uint64_t lo, std::uint64_t hi) {
-            for (std::uint64_t s = lo; s < hi; ++s) {
-                const auto [a, b] = seg_span(static_cast<int>(s));
-                const std::uint64_t m = b - a;
-                std::uint64_t payload = 0;
-                if (inner > 1) {
-                    std::atomic<std::uint64_t> sum{0};
-                    parallelFor(
-                        a, b, inner,
-                        [&](std::uint64_t l, std::uint64_t h) {
-                            sum.fetch_add(
-                                payloadBytesRange(data, l, h, warp),
-                                std::memory_order_relaxed);
-                        },
-                        codecGrain());
-                    payload = sum.load();
-                } else {
-                    payload = payloadBytesRange(data + a,
-                                                std::uint64_t{0}, m,
-                                                warp);
-                }
-                seg_bytes[s] = (m + 1) / 2 + payload;
-            }
-        },
-        1);
+    forEachItem(num_segs, outer, [&](std::uint64_t s) {
+        const auto [a, b] = seg_span(s);
+        const std::uint64_t m = b - a;
+        std::uint64_t payload = 0;
+        if (inner > 1) {
+            std::atomic<std::uint64_t> sum{0};
+            parallelFor(
+                a, b, inner,
+                [&](std::uint64_t l, std::uint64_t h) {
+                    sum.fetch_add(payloadBytesRange(data, l, h, warp),
+                                  std::memory_order_relaxed);
+                },
+                codecGrain());
+            payload = sum.load();
+        } else {
+            payload =
+                payloadBytesRange(data + a, std::uint64_t{0}, m, warp);
+        }
+        seg_bytes[s] = (m + 1) / 2 + payload;
+    });
 
     const std::uint64_t header = headerBytesFor(count, segments);
     std::uint64_t total = header;
@@ -445,16 +492,11 @@ compressIntoImpl(const Fp *data, std::uint64_t count, int warp,
     }
 
     // Pass 2: encode each segment into its slice.
-    parallelFor(
-        0, num_segs, outer,
-        [&](std::uint64_t lo, std::uint64_t hi) {
-            for (std::uint64_t s = lo; s < hi; ++s) {
-                const auto [a, b] = seg_span(static_cast<int>(s));
-                encodeSegment(data + a, b - a, warp, inner,
-                              out.data() + seg_start[s]);
-            }
-        },
-        1);
+    forEachItem(num_segs, outer, [&](std::uint64_t s) {
+        const auto [a, b] = seg_span(s);
+        encodeSegment(data + a, b - a, warp, inner,
+                      out.data() + seg_start[s]);
+    });
 }
 
 template <typename Fp>
@@ -505,21 +547,15 @@ decompressImpl(const CompressedBlock &block, Fp *out, int warp,
         QGPU_PANIC("GFC stream truncated: segments need ",
                    seg_start[num_segs], " bytes, have ", in.size());
 
-    const int threads = simThreads();
+    const int threads = blockThreads(count);
     const int outer = num_segs > 1 ? threads : 1;
     const int inner = num_segs > 1 ? 1 : threads;
-    parallelFor(
-        0, num_segs, outer,
-        [&](std::uint64_t lo, std::uint64_t hi) {
-            for (std::uint64_t s = lo; s < hi; ++s) {
-                const std::uint64_t a =
-                    static_cast<std::uint64_t>(s) * per;
-                const std::uint64_t b = std::min(count, a + per);
-                decodeSegment(in.data() + seg_start[s], seg_len[s],
-                              b - a, warp, inner, out + a);
-            }
-        },
-        1);
+    forEachItem(num_segs, outer, [&](std::uint64_t s) {
+        const std::uint64_t a = s * per;
+        const std::uint64_t b = std::min(count, a + per);
+        decodeSegment(in.data() + seg_start[s], seg_len[s], b - a, warp,
+                      inner, out + a);
+    });
 }
 
 template <typename Fp>
@@ -536,32 +572,27 @@ compressedSizeImpl(const Fp *data, std::uint64_t count, int warp,
     // byte counts add associatively, so the size splits freely over
     // the pool regardless of segment boundaries.
     std::atomic<std::uint64_t> payload{0};
-    const int threads = simThreads();
-    parallelFor(
-        0, num_segs, num_segs > 1 ? threads : 1,
-        [&](std::uint64_t s_lo, std::uint64_t s_hi) {
-            for (std::uint64_t s = s_lo; s < s_hi; ++s) {
-                const std::uint64_t a =
-                    static_cast<std::uint64_t>(s) * per;
-                const std::uint64_t b = std::min(count, a + per);
-                if (num_segs > 1) {
+    const int threads = blockThreads(count);
+    const int outer = num_segs > 1 ? threads : 1;
+    forEachItem(num_segs, outer, [&](std::uint64_t s) {
+        const std::uint64_t a = s * per;
+        const std::uint64_t b = std::min(count, a + per);
+        if (num_segs > 1) {
+            payload.fetch_add(
+                payloadBytesRange(data + a, std::uint64_t{0}, b - a,
+                                  warp),
+                std::memory_order_relaxed);
+        } else {
+            parallelFor(
+                a, b, threads,
+                [&](std::uint64_t l, std::uint64_t h) {
                     payload.fetch_add(
-                        payloadBytesRange(data + a, std::uint64_t{0},
-                                          b - a, warp),
+                        payloadBytesRange(data, l, h, warp),
                         std::memory_order_relaxed);
-                } else {
-                    parallelFor(
-                        a, b, threads,
-                        [&](std::uint64_t l, std::uint64_t h) {
-                            payload.fetch_add(
-                                payloadBytesRange(data, l, h, warp),
-                                std::memory_order_relaxed);
-                        },
-                        codecGrain());
-                }
-            }
-        },
-        1);
+                },
+                codecGrain());
+        }
+    });
 
     std::uint64_t total = 8 + 4 + 4ull * num_segs;
     for (int s = 0; s < num_segs; ++s) {

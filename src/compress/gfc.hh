@@ -19,6 +19,10 @@
  * decoding splits because residual addition is associative mod 2^64,
  * so per-range per-lane partial sums compose exactly. compressBatch /
  * decompressBatch additionally fan independent blocks out together.
+ * Small work stays on the calling thread: a segment under two codec
+ * grains (codecGrainWords) is encoded or decoded in one pass, with no
+ * scratch vectors and no pool round trip, and a block under one grain
+ * keeps its segments on the calling thread too.
  */
 
 #ifndef QGPU_COMPRESS_GFC_HH

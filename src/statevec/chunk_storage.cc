@@ -4,6 +4,8 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -589,11 +591,11 @@ ChunkResidency::makeRoom(Index incoming)
     }
 }
 
-void
-ChunkResidency::issueFill(Index c, bool async)
+bool
+ChunkResidency::beginFill(Index c)
 {
     // Serial half of a refill: state transition, fault draws, and
-    // counters. The returned slot fill is the only concurrent part.
+    // counters. fillSlot is the only part that may run concurrently.
     Meta &m = meta_[c];
     const bool zero = m.state == State::Zero;
     if (zero) {
@@ -614,25 +616,30 @@ ChunkResidency::issueFill(Index c, bool async)
     ++residentCount_;
     devInc(c);
     notePeak();
-    auto work = [this, c, zero] {
-        std::vector<Amp> &slot = (*slots_)[c];
-        if (zero) {
-            slot.assign(chunkSize_, Amp{0, 0});
-            return;
-        }
-        const Meta &m = meta_[c];
-        slot.resize(chunkSize_);
-        store_->load(c, slot, m.streamSum);
-        if (checksumAmps(slot) != m.payloadSum)
-            throwStorageError(SimErrorCode::ChecksumMismatch, "codec",
-                              "decoded payload checksum mismatch", c);
-    };
-    if (async) {
-        fills_.run(std::move(work));
-    } else {
-        work();
-        finishDrops();
+    return zero;
+}
+
+void
+ChunkResidency::fillSlot(Index c, bool zero)
+{
+    std::vector<Amp> &slot = (*slots_)[c];
+    if (zero) {
+        slot.assign(chunkSize_, Amp{0, 0});
+        return;
     }
+    const Meta &m = meta_[c];
+    slot.resize(chunkSize_);
+    store_->load(c, slot, m.streamSum);
+    if (checksumAmps(slot) != m.payloadSum)
+        throwStorageError(SimErrorCode::ChecksumMismatch, "codec",
+                          "decoded payload checksum mismatch", c);
+}
+
+void
+ChunkResidency::fillNow(Index c)
+{
+    fillSlot(c, beginFill(c));
+    finishDrops();
 }
 
 void
@@ -652,7 +659,7 @@ ChunkResidency::ensure(Index c)
         return;
     }
     makeRoom(1);
-    issueFill(c, false);
+    fillNow(c);
 }
 
 void
@@ -739,9 +746,40 @@ ChunkResidency::pinAsync(std::span<const Index> cs)
     if (incoming == 0)
         return;
     makeRoom(incoming);
-    for (Index c : cs)
-        if (meta_[c].state != State::Resident)
-            issueFill(c, true);
+    // One pool task fills the whole block: a fill takes microseconds,
+    // so a task per chunk would cost more in worker wake-ups than it
+    // overlaps. Every fill runs and the first error is rethrown after
+    // the last, which is TaskGroup's own contract.
+    std::vector<std::pair<Index, bool>> fills;
+    fills.reserve(incoming);
+    const auto submit = [this, &fills] {
+        if (fills.empty())
+            return;
+        fills_.run([this, fills = std::move(fills)] {
+            std::exception_ptr first;
+            for (const auto &[c, zero] : fills) {
+                try {
+                    fillSlot(c, zero);
+                } catch (...) {
+                    if (!first)
+                        first = std::current_exception();
+                }
+            }
+            if (first)
+                std::rethrow_exception(first);
+        });
+    };
+    try {
+        for (Index c : cs)
+            if (meta_[c].state != State::Resident)
+                fills.emplace_back(c, beginFill(c));
+    } catch (...) {
+        // A fault drawn mid-block: chunks already marked Resident
+        // still get their slots filled.
+        submit();
+        throw;
+    }
+    submit();
 }
 
 void
@@ -763,7 +801,7 @@ ChunkResidency::materializeAll()
 {
     for (Index c = 0; c < numChunks_; ++c)
         if (meta_[c].state != State::Resident)
-            issueFill(c, false);
+            fillNow(c);
 }
 
 void

@@ -277,7 +277,9 @@ class ChunkResidency
      * Pin @p cs and begin refilling any non-resident members
      * asynchronously on the thread pool. Transitions, fault draws,
      * and eviction of victims all happen here, serially; only the
-     * slot fills run concurrently. Pinned chunks are never evicted.
+     * slot fills run concurrently, as one pool task for the block
+     * that runs every fill and then rethrows the first failure.
+     * Pinned chunks are never evicted.
      */
     void pinAsync(std::span<const Index> cs);
 
@@ -308,6 +310,9 @@ class ChunkResidency
      *  exposed for the shard-balance tests. */
     std::vector<Index> deviceResident() const { return devResident_; }
 
+    /** The cold backend; exposed for the refill tamper tests. */
+    ColdStore &coldStore() { return *store_; }
+
   private:
     struct Meta
     {
@@ -327,7 +332,9 @@ class ChunkResidency
     void evict(Index c);
     Index pickVictim();
     void makeRoom(Index incoming);
-    void issueFill(Index c, bool async);
+    bool beginFill(Index c);
+    void fillSlot(Index c, bool zero);
+    void fillNow(Index c);
     void finishDrops();
     void devInc(Index c);
     void devDec(Index c);

@@ -17,6 +17,7 @@
 
 #include "common/cacheinfo.hh"
 #include "common/parallel.hh"
+#include "common/thread_pool.hh"
 #include "fault/injector.hh"
 #include "fault/sim_error.hh"
 #include "circuits/circuits.hh"
@@ -349,6 +350,60 @@ TEST(BoundedState, PinnedBlocksRefillAndNeverEvict)
         EXPECT_EQ(res.stateOf(c), State::Resident) << c;
     res.unpin(block);
     EXPECT_TRUE(bitsEqual(state.toFlat(), flat));
+}
+
+TEST(BoundedState, TamperedRefillsFailTheBlockAndFillTheRest)
+{
+    // A pinned block refills in one pool task, running alongside the
+    // scheduling thread. Two tampered chunks in the block must not
+    // stop the other fills: waitPins reports the first failure in
+    // block order as a structured error once every fill ran.
+    constexpr int kQubits = 8;
+    constexpr int kChunkBits = 4; // 16 chunks
+    const Index chunk_size = Index{1} << kChunkBits;
+    StateVector flat(kQubits);
+    for (Index i = 0; i < stateSize(kQubits); ++i)
+        flat[i] = Amp{std::sin(0.01 * static_cast<double>(i)), 0.125};
+    for (const int threads : {1, 4}) {
+        setSimThreads(threads);
+        ThreadPool::global().ensureWorkers(threads);
+        {
+            ChunkedStateVector state(kQubits, kChunkBits,
+                                     config(StorageKind::Compressed, 8));
+            state.fromFlat(flat);
+            ChunkResidency &res = *state.residency();
+            std::vector<Index> block;
+            for (Index c = 0; c < state.numChunks(); ++c)
+                if (res.stateOf(c) == ChunkResidency::State::Cold &&
+                    static_cast<Index>(block.size()) <
+                        res.maxPinnedBlock())
+                    block.push_back(c);
+            ASSERT_EQ(block.size(), 4u);
+            FaultInjector injector(FaultSpec{}, 11);
+            res.coldStore().corruptStored(block[1], injector);
+            res.coldStore().corruptStored(block[3], injector);
+
+            res.pinAsync(block);
+            try {
+                res.waitPins();
+                FAIL() << "tampered refills went unnoticed";
+            } catch (const SimException &e) {
+                EXPECT_EQ(e.error().code, SimErrorCode::ChecksumMismatch);
+                EXPECT_EQ(e.error().chunk,
+                          static_cast<std::int64_t>(block[1]));
+            }
+            for (const Index c : {block[0], block[2]}) {
+                const std::vector<Amp> &slot = state.chunk(c);
+                ASSERT_EQ(static_cast<Index>(slot.size()), chunk_size);
+                EXPECT_EQ(std::memcmp(slot.data(), &flat[c * chunk_size],
+                                      chunk_size * sizeof(Amp)),
+                          0)
+                    << "chunk " << c << ", threads " << threads;
+            }
+            res.unpin(block);
+        } // the residency must tear down without hanging
+    }
+    setSimThreads(1);
 }
 
 TEST(BoundedState, ShardBalancedEvictionKeepsDevicesEven)

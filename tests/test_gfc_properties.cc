@@ -9,11 +9,14 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
 #include "common/bits.hh"
+#include "common/cacheinfo.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "compress/gfc.hh"
@@ -211,6 +214,124 @@ TEST(GfcProperties, SerialAndParallelStreamsAreByteIdentical)
     }
 }
 
+// ---------------------------------------------------------------------
+// Serial vs multi-range codec paths. A segment under two codec grains
+// is one range at any thread count and takes the serial pass; at or
+// above it, 4 threads split it into ranges. Both lanes share these
+// helpers, overloaded on the element type.
+// ---------------------------------------------------------------------
+
+CompressedBlock
+compressLane(const GfcCodec &codec, const std::vector<double> &data)
+{
+    return codec.compress(data.data(), data.size());
+}
+
+CompressedBlock
+compressLane(const GfcCodec &codec, const std::vector<float> &data)
+{
+    return codec.compressF32(data.data(), data.size());
+}
+
+void
+decompressLane(const GfcCodec &codec, const CompressedBlock &block,
+               double *out)
+{
+    codec.decompress(block, out);
+}
+
+void
+decompressLane(const GfcCodec &codec, const CompressedBlock &block,
+               float *out)
+{
+    codec.decompressF32(block, out);
+}
+
+/** Block sizes around two codec grains, the single-range cutoff. */
+std::vector<std::size_t>
+sizesAroundRangeCutoff()
+{
+    const std::size_t two_grains =
+        2 * static_cast<std::size_t>(codecGrainWords());
+    return {two_grains - 2, two_grains - 1, two_grains, two_grains + 1,
+            2 * two_grains + 3};
+}
+
+template <typename Fp, typename Gen>
+void
+expectSerialPathMatchesRanges(std::uint64_t seed, Gen gen)
+{
+    using W = std::conditional_t<sizeof(Fp) == 8, std::uint64_t,
+                                 std::uint32_t>;
+    Rng rng(seed);
+    for (const std::size_t size : sizesAroundRangeCutoff()) {
+        std::vector<Fp> data(size);
+        for (auto &v : data)
+            v = gen(rng);
+        // One segment splits into ranges itself; two segments fan
+        // out across the pool once the block is a grain long.
+        for (const int segs : {1, 2}) {
+            const GfcCodec codec(32, segs);
+            setSimThreads(1);
+            const CompressedBlock serial = compressLane(codec, data);
+            setSimThreads(4);
+            const CompressedBlock ranged = compressLane(codec, data);
+            EXPECT_EQ(serial.bytes, ranged.bytes)
+                << "size " << size << ", segments " << segs;
+            for (const int threads : {4, 1}) {
+                setSimThreads(threads);
+                std::vector<Fp> out(size, Fp{-7});
+                decompressLane(codec, serial, out.data());
+                for (std::size_t i = 0; i < size; ++i)
+                    ASSERT_EQ(std::bit_cast<W>(data[i]),
+                              std::bit_cast<W>(out[i]))
+                        << "size " << size << ", segments " << segs
+                        << ", threads " << threads << ", index " << i;
+            }
+        }
+    }
+    setSimThreads(1);
+}
+
+/**
+ * Flip one nibble's leading-zero count so the nibbles announce one
+ * payload byte more or less than the segment table: both the serial
+ * and the multi-range decoder must panic on the count alone.
+ */
+template <typename Fp, typename Gen>
+void
+expectNibbleLengthMismatchPanics(Gen gen)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Rng rng(404);
+    std::vector<Fp> data(2 * codecGrainWords() + 2);
+    for (auto &v : data)
+        v = gen(rng);
+    const GfcCodec codec(32, 1);
+    setSimThreads(1);
+    CompressedBlock block = compressLane(codec, data);
+    // The nibble area starts right after the header.
+    block.bytes[codec.headerBytes(data.size())] ^= 0x01;
+    std::vector<Fp> out(data.size());
+    for (const int threads : {1, 4}) {
+        setSimThreads(threads);
+        EXPECT_DEATH(decompressLane(codec, block, out.data()),
+                     "nibbles imply")
+            << "threads " << threads;
+    }
+    setSimThreads(1);
+}
+
+TEST(GfcProperties, SerialPathMatchesRangesAroundCutoff)
+{
+    expectSerialPathMatchesRanges<double>(4242, randomAmplitudeValue);
+}
+
+TEST(GfcProperties, NibbleLengthMismatchPanicsAtAnyThreadCount)
+{
+    expectNibbleLengthMismatchPanics<double>(randomAmplitudeValue);
+}
+
 TEST(GfcProperties, PayloadSizePlusHeaderIsTotal)
 {
     Rng rng(5);
@@ -339,6 +460,16 @@ TEST(GfcPropertiesF32, SerialAndParallelStreamsAreByteIdentical)
                       std::bit_cast<std::uint32_t>(out[i]))
                 << "segments " << segs << ", index " << i;
     }
+}
+
+TEST(GfcPropertiesF32, SerialPathMatchesRangesAroundCutoff)
+{
+    expectSerialPathMatchesRanges<float>(4243, randomAmplitudeValueF32);
+}
+
+TEST(GfcPropertiesF32, NibbleLengthMismatchPanicsAtAnyThreadCount)
+{
+    expectNibbleLengthMismatchPanics<float>(randomAmplitudeValueF32);
 }
 
 TEST(GfcPropertiesF32, PayloadSizePlusHeaderIsTotal)

@@ -1,10 +1,13 @@
 /**
  * @file
  * Tests for the parallel-for helper and the threaded state-vector
- * apply path: identical results regardless of worker count.
+ * apply path: identical results regardless of worker count, and no
+ * file I/O on the dispatch path.
  */
 
 #include <atomic>
+#include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -53,6 +56,43 @@ TEST(ParallelFor, SmallRangeRunsInline)
         },
         1024);
     EXPECT_EQ(calls, 1);
+}
+
+/** `syscr` (read syscalls so far) from /proc/self/io; -1 if absent. */
+double
+readSyscalls()
+{
+    std::ifstream in("/proc/self/io");
+    std::string key;
+    double value = 0.0;
+    while (in >> key >> value) {
+        if (key == "syscr:")
+            return value;
+    }
+    return -1.0;
+}
+
+// A file read on the dispatch path (the CPU count from sysfs) turns
+// every small loop into a syscall; compressed storage spent most of
+// its wall time in the kernel that way. 10k small loops, serial and
+// fanned out, must add no read syscalls beyond the fixed cost of
+// reading /proc/self/io itself, measured back to back.
+TEST(ParallelFor, DispatchMakesNoReadSyscalls)
+{
+    if (readSyscalls() < 0.0)
+        GTEST_SKIP() << "/proc/self/io is not readable";
+    const auto body = [](std::uint64_t, std::uint64_t) {};
+    for (const int threads : {1, 4}) {
+        parallelFor(0, 4, threads, body, 1); // pool warm-up
+        const double idle0 = readSyscalls();
+        const double idle1 = readSyscalls();
+        const double before = readSyscalls();
+        for (int i = 0; i < 10000; ++i)
+            parallelFor(0, 4, threads, body, 1);
+        const double after = readSyscalls();
+        EXPECT_LE(after - before, idle1 - idle0)
+            << "threads " << threads;
+    }
 }
 
 TEST(SimThreads, DefaultIsSequential)
