@@ -20,7 +20,8 @@
 #                  suites there with QGPU_FAST_MATH=1 so the 1e-12
 #                  accuracy contract is exercised end to end
 #
-# The default pass also rebuilds the kernel differential suite with
+# The default pass checks that the exact kernel object holds no FMA
+# instruction, and also rebuilds the kernel differential suite with
 # -DQGPU_NATIVE=ON (build-check-native) and reruns it there, so the
 # tolerance-0 specialized-vs-generic guarantee is checked under the
 # vectorized -march=native code generation too.
@@ -73,6 +74,26 @@ require_cache "$BUILD_DIR" "QGPU_SANITIZE=" "QGPU_NATIVE=OFF"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j "$JOBS"
+
+# The exact tier's AVX2 and scalar kernel loops are bit-identical only
+# while every product is rounded on its own, so the exact kernel
+# object must hold no FMA instruction. It must hold the AVX2 loops
+# (ymm vaddsubpd), or this guard is looking at the wrong object.
+if [ "$(uname -m)" = x86_64 ]; then
+    EXACT_OBJ="$BUILD_DIR/src/statevec/CMakeFiles/qgpu_statevec.dir/kernel_dispatch.cc.o"
+    disasm=$(objdump -d --no-show-raw-insn "$EXACT_OBJ")
+    if grep -Eq 'vfn?m(add|sub)|vfmaddsub|vfmsubadd' <<<"$disasm"; then
+        echo "error: FMA instructions in the exact kernel object" >&2
+        grep -E 'vfn?m(add|sub)|vfmaddsub|vfmsubadd' <<<"$disasm" |
+            head -5 >&2
+        exit 1
+    fi
+    if ! grep -Eq 'vaddsubpd.*%ymm' <<<"$disasm"; then
+        echo "error: no AVX2 loops in $EXACT_OBJ" >&2
+        exit 1
+    fi
+    echo "exact kernel object: AVX2 loops, no FMA"
+fi
 
 if [ "$RUN_FAST_MATH" -eq 1 ]; then
     # A dedicated build: the contracted-FMA kernel TU only exists when

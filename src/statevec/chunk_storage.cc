@@ -628,25 +628,50 @@ ChunkResidency::fillSlot(Index c, bool zero)
         return;
     }
     const Meta &m = meta_[c];
-    slot.resize(chunkSize_);
-    store_->load(c, slot, m.streamSum);
-    if (checksumAmps(slot) != m.payloadSum)
-        throwStorageError(SimErrorCode::ChecksumMismatch, "codec",
-                          "decoded payload checksum mismatch", c);
+    try {
+        slot.resize(chunkSize_);
+        store_->load(c, slot, m.streamSum);
+        if (checksumAmps(slot) != m.payloadSum)
+            throwStorageError(SimErrorCode::ChecksumMismatch, "codec",
+                              "decoded payload checksum mismatch", c);
+    } catch (...) {
+        // An empty slot tells finishDrops the refill failed.
+        std::vector<Amp>().swap(slot);
+        throw;
+    }
 }
 
 void
 ChunkResidency::fillNow(Index c)
 {
-    fillSlot(c, beginFill(c));
+    const bool zero = beginFill(c);
+    try {
+        fillSlot(c, zero);
+    } catch (...) {
+        finishDrops();
+        throw;
+    }
     finishDrops();
 }
 
 void
 ChunkResidency::finishDrops()
 {
-    for (Index c : pendingDrops_)
-        store_->drop(c);
+    // A refilled chunk's cold copy is no longer needed. A refill that
+    // failed (its slot came back empty) returns the chunk to Cold with
+    // that copy kept: reading it again fails again, it never yields
+    // zeros.
+    for (Index c : pendingDrops_) {
+        if (!(*slots_)[c].empty()) {
+            store_->drop(c);
+            continue;
+        }
+        Meta &m = meta_[c];
+        m.state = State::Cold;
+        m.ref = 0;
+        --residentCount_;
+        devDec(c);
+    }
     pendingDrops_.clear();
 }
 
@@ -785,7 +810,12 @@ ChunkResidency::pinAsync(std::span<const Index> cs)
 void
 ChunkResidency::waitPins()
 {
-    fills_.wait();
+    try {
+        fills_.wait();
+    } catch (...) {
+        finishDrops();
+        throw;
+    }
     finishDrops();
 }
 

@@ -283,7 +283,11 @@ class ChunkResidency
      */
     void pinAsync(std::span<const Index> cs);
 
-    /** Wait for outstanding refills; rethrows their first error. */
+    /**
+     * Wait for outstanding refills; rethrows their first error. A
+     * chunk whose refill failed is Cold again with its cold copy
+     * kept, so reading it fails again instead of yielding zeros.
+     */
     void waitPins();
 
     /** Drop the pins taken by a matching pinAsync. */

@@ -10,10 +10,14 @@
  * targets, blocked two-level loops for high targets — instead of the
  * generic accessor-indirected dense matvec in kernels.hh.
  *
+ * The hot kinds' stride-1 loops run as AVX2 on CPUs that have it
+ * (kernelIsa(), chosen once per process) and as scalar loops
+ * otherwise; both give the same bytes.
+ *
  * kernels.hh remains the reference implementation; the differential
  * suite (tests/test_kernel_dispatch.cc) asserts every specialized
- * kernel is bit-identical (tolerance 0) to it. All kernels take a
- * [begin, end) range in the kind's work-item space so parallel
+ * kernel is byte-identical to it, on both dispatch paths. All kernels
+ * take a [begin, end) range in the kind's work-item space so parallel
  * callers can split freely; any split yields the same result as one
  * full-range call.
  *
@@ -105,6 +109,40 @@ class ScopedKernelTier
 
   private:
     KernelTier prev_;
+};
+
+/**
+ * Instruction set the exact tier's stride-1 loops run on. It is
+ * detected from the CPU once per process: AVX2 where the CPU has it,
+ * the portable scalar loops otherwise. Both produce the same bits
+ * (DESIGN.md "Kernel dispatch"), so it is not an option anywhere.
+ * The fast tier and the scalar-only kinds (Dense2q, DiagK, DenseK)
+ * ignore it.
+ */
+enum class KernelIsa
+{
+    Scalar,
+    Avx2,
+};
+
+/** The instruction set the exact kernels dispatch to right now. */
+KernelIsa kernelIsa();
+
+/**
+ * Test-only RAII override: the exact kernels run their scalar loops
+ * while it lives, then the previous choice is restored. Lets the
+ * differential suites compare both dispatch paths on one CPU.
+ */
+class ScopedScalarKernels
+{
+  public:
+    ScopedScalarKernels();
+    ~ScopedScalarKernels();
+    ScopedScalarKernels(const ScopedScalarKernels &) = delete;
+    ScopedScalarKernels &operator=(const ScopedScalarKernels &) = delete;
+
+  private:
+    KernelIsa prev_;
 };
 
 /**

@@ -406,6 +406,80 @@ TEST(BoundedState, TamperedRefillsFailTheBlockAndFillTheRest)
     setSimThreads(1);
 }
 
+TEST(BoundedState, FailedRefillLeavesTheChunkColdWithItsCopy)
+{
+    // A refill that fails its checksum must not leave a zero-filled
+    // Resident slot behind, nor let a later successful block drop the
+    // only stored copy: the chunk is Cold again, and every read of it
+    // fails the same way.
+    constexpr int kQubits = 8;
+    constexpr int kChunkBits = 4; // 16 chunks
+    const Index chunk_size = Index{1} << kChunkBits;
+    StateVector flat(kQubits);
+    for (Index i = 0; i < stateSize(kQubits); ++i)
+        flat[i] = Amp{std::cos(0.02 * static_cast<double>(i)), -0.5};
+    const auto expectMismatch = [](auto &&read, Index c) {
+        try {
+            read();
+            ADD_FAILURE() << "tampered chunk " << c << " read back";
+        } catch (const SimException &e) {
+            EXPECT_EQ(e.error().code, SimErrorCode::ChecksumMismatch);
+            EXPECT_EQ(e.error().chunk, static_cast<std::int64_t>(c));
+        }
+    };
+    for (const int threads : {1, 4}) {
+        setSimThreads(threads);
+        ThreadPool::global().ensureWorkers(threads);
+        ChunkedStateVector state(kQubits, kChunkBits,
+                                 config(StorageKind::Compressed, 8));
+        state.fromFlat(flat);
+        ChunkResidency &res = *state.residency();
+        std::vector<Index> cold;
+        for (Index c = 0; c < state.numChunks(); ++c)
+            if (res.stateOf(c) == ChunkResidency::State::Cold)
+                cold.push_back(c);
+        ASSERT_GE(cold.size(), 3u);
+        const Index bad = cold[0];
+        FaultInjector injector(FaultSpec{}, 11);
+        res.coldStore().corruptStored(bad, injector);
+        const std::uint64_t tampered = res.coldStore().storedSum(bad);
+
+        const std::vector<Index> one = {bad};
+        res.pinAsync(one);
+        expectMismatch([&] { res.waitPins(); }, bad);
+        res.unpin(one);
+        EXPECT_EQ(res.stateOf(bad), ChunkResidency::State::Cold);
+        // The working-set count gave the slot back.
+        const StorageStats stats = res.stats();
+        EXPECT_EQ(stats.residentBytes,
+                  stats.residentChunks * chunk_size * sizeof(Amp));
+
+        // A later block that refills cleanly drops only its own
+        // chunks' cold copies.
+        const std::vector<Index> others = {cold[1], cold[2]};
+        res.pin(others);
+        res.unpin(others);
+        for (const Index c : others)
+            EXPECT_EQ(std::memcmp(state.chunk(c).data(),
+                                  &flat[c * chunk_size],
+                                  chunk_size * sizeof(Amp)),
+                      0)
+                << "chunk " << c;
+        EXPECT_EQ(res.stateOf(bad), ChunkResidency::State::Cold);
+        EXPECT_EQ(res.coldStore().storedSum(bad), tampered);
+
+        // Decoding it in place and refilling it on access both fail
+        // again; the chunk stays Cold.
+        std::vector<Amp> out(chunk_size);
+        expectMismatch([&] { res.readChunk(bad, out.data()); }, bad);
+        expectMismatch([&] { state.chunk(bad); }, bad);
+        EXPECT_EQ(res.stateOf(bad), ChunkResidency::State::Cold);
+        EXPECT_EQ(res.coldStore().storedSum(bad), tampered)
+            << "threads " << threads;
+    }
+    setSimThreads(1);
+}
+
 TEST(BoundedState, ShardBalancedEvictionKeepsDevicesEven)
 {
     constexpr int kQubits = 9;

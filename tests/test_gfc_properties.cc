@@ -181,6 +181,18 @@ TEST(GfcProperties, InfAndNanPayloadsRoundTripBitExactly)
     }
 }
 
+/**
+ * Words for the serial-vs-parallel stream tests: over two codec
+ * grains, so at 4 threads a one-segment block splits into ranges (the
+ * multi-range encode and decode) and a many-segment block fans its
+ * segments out. Odd, so the ranges come out uneven.
+ */
+std::size_t
+multiRangeWords()
+{
+    return 2 * static_cast<std::size_t>(codecGrainWords()) + 3;
+}
+
 TEST(GfcProperties, SerialAndParallelStreamsAreByteIdentical)
 {
     // The engine records sender-side checksums over compressed bytes
@@ -188,7 +200,7 @@ TEST(GfcProperties, SerialAndParallelStreamsAreByteIdentical)
     // produce the exact stream of the serial one, not merely a stream
     // that decodes to the same values.
     Rng rng(31337);
-    std::vector<double> data(4099);
+    std::vector<double> data(multiRangeWords());
     for (auto &v : data)
         v = randomAmplitudeValue(rng);
 
@@ -437,7 +449,7 @@ TEST(GfcPropertiesF32, InfAndNanPayloadsRoundTripBitExactly)
 TEST(GfcPropertiesF32, SerialAndParallelStreamsAreByteIdentical)
 {
     Rng rng(31338);
-    std::vector<float> data(4099);
+    std::vector<float> data(multiRangeWords());
     for (auto &v : data)
         v = randomAmplitudeValueF32(rng);
 

@@ -1,16 +1,22 @@
 /**
  * @file
  * Differential suite for the kernel-dispatch layer: every specialized
- * kernel must be bit-identical (tolerance 0) to the generic
- * accessor-based reference in statevec/kernels.hh, across gate kinds,
- * random matrices, chunk-local and cross-chunk targets, and flat and
- * chunked states. Also covers classification, fused-diagonal
- * detection, range-split determinism, and the per-kind metrics.
+ * kernel must be byte-identical to the generic accessor-based
+ * reference in statevec/kernels.hh, across gate kinds, every target
+ * and control position, random matrices, chunk-local and cross-chunk
+ * targets, and flat and chunked states. Each comparison runs on every
+ * dispatch path of this CPU (the detected instruction set, then
+ * forced scalar), and the paths must agree byte for byte on signed
+ * zeros, subnormals and short misaligned ranges too. Also covers
+ * classification, fused-diagonal detection, range-split determinism,
+ * and the per-kind metrics.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/metrics.hh"
@@ -64,14 +70,116 @@ randomDiagMatrix(int k, std::uint64_t seed)
     return m;
 }
 
-/** Max |a - b| over two equally sized amplitude buffers. */
-double
-maxDiff(const std::vector<Amp> &a, const std::vector<Amp> &b)
+/**
+ * Amplitudes whose components mix +0, -0, +-1, subnormals and random
+ * values: byte comparison tells -0 from +0, where |a - b| does not.
+ * All finite, and small enough that no product overflows.
+ */
+std::vector<Amp>
+edgeAmps(int num_qubits, std::uint64_t seed)
 {
-    double worst = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        worst = std::max(worst, std::abs(a[i] - b[i]));
-    return worst;
+    const double pool[] = {0.0,
+                           -0.0,
+                           1.0,
+                           -1.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           -3e-310};
+    constexpr std::size_t kPool = sizeof pool / sizeof pool[0];
+    Rng rng(seed);
+    const auto component = [&] {
+        const std::uint64_t pick = rng.nextBelow(2 * kPool);
+        return pick < kPool ? pool[pick] : rng.nextDouble() * 2 - 1;
+    };
+    std::vector<Amp> amps(stateSize(num_qubits));
+    for (Amp &a : amps) {
+        const double re = component();
+        a = Amp{re, component()};
+    }
+    return amps;
+}
+
+/** Byte equality of two amplitude buffers, naming the first difference. */
+::testing::AssertionResult
+sameBytes(const std::vector<Amp> &got, const std::vector<Amp> &want)
+{
+    if (got.size() != want.size())
+        return ::testing::AssertionFailure()
+               << "sizes " << got.size() << " vs " << want.size();
+    for (std::size_t i = 0; i < got.size(); ++i)
+        if (std::memcmp(&got[i], &want[i], sizeof(Amp)) != 0)
+            return ::testing::AssertionFailure()
+                   << "amplitude " << i << ": " << got[i] << " vs "
+                   << want[i];
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * Runs @p body on every exact-kernel dispatch path of this CPU: the
+ * detected instruction set, then (when that is not already scalar)
+ * forced scalar. Failures name the path.
+ */
+template <typename Body>
+void
+onEachIsa(Body &&body)
+{
+    {
+        SCOPED_TRACE(kernelIsa() == KernelIsa::Avx2 ? "isa avx2"
+                                                    : "isa scalar");
+        body();
+    }
+    if (kernelIsa() == KernelIsa::Scalar)
+        return;
+    ScopedScalarKernels scalar;
+    SCOPED_TRACE("isa scalar (forced)");
+    body();
+}
+
+/**
+ * Every kernel kind with its target and controls on every qubit of an
+ * n-qubit register, bit 0 included.
+ */
+std::vector<Gate>
+placementZoo(int n)
+{
+    std::vector<Gate> gates;
+    for (int q = 0; q < n; ++q) {
+        const std::uint64_t seed = 1000 + 100 * static_cast<unsigned>(q);
+        // Diag1q, Perm1q, Dense1q
+        gates.emplace_back(GateKind::T, std::vector<int>{q});
+        gates.push_back(
+            Gate::makeCustom({q}, randomDiagMatrix(1, seed)));
+        gates.emplace_back(GateKind::X, std::vector<int>{q});
+        gates.emplace_back(GateKind::Y, std::vector<int>{q});
+        gates.push_back(Gate::makeCustom(
+            {q}, {Amp{0, 0}, Amp{-0.28, 0.96}, Amp{0.6, -0.8},
+                  Amp{0, 0}}));
+        gates.emplace_back(GateKind::H, std::vector<int>{q});
+        gates.push_back(Gate::makeCustom({q}, randomMatrix(1, seed + 1)));
+        // DiagK and DenseK, rotated through every position.
+        gates.emplace_back(GateKind::CCZ,
+                           std::vector<int>{q, (q + 1) % n, (q + 3) % n});
+        gates.push_back(Gate::makeCustom({(q + 2) % n, q, (q + 1) % n},
+                                         randomMatrix(3, seed + 2)));
+        for (int r = 0; r < n; ++r) {
+            if (r == q)
+                continue;
+            const std::uint64_t pair_seed =
+                seed + 10 + static_cast<unsigned>(r);
+            // Diag2q, Ctrl1q (control q, target r), Dense2q
+            gates.push_back(
+                Gate::makeCustom({q, r}, randomDiagMatrix(2, pair_seed)));
+            gates.emplace_back(GateKind::CX, std::vector<int>{q, r});
+            gates.emplace_back(GateKind::CY, std::vector<int>{q, r});
+            gates.push_back(
+                Gate::makeCustom({q, r}, randomMatrix(2, pair_seed)));
+            for (int t = 0; t < n; ++t)
+                if (t != q && t != r)
+                    gates.emplace_back(GateKind::CCX,
+                                       std::vector<int>{q, r, t});
+        }
+    }
+    return gates;
 }
 
 /**
@@ -184,125 +292,224 @@ TEST(KernelDispatch, ClassifiesCustomShapes)
     EXPECT_EQ(makeKernelSpec(dense).kind, KernelKind::Dense1q);
 }
 
-/** Specialized flat apply == generic reference, exactly. */
+/** Specialized flat apply == generic reference, byte for byte. */
 TEST(KernelDispatch, FlatMatchesGenericBitExact)
 {
     const int n = 10;
     // lo targets below a typical chunk boundary, hi targets above;
     // for the flat register this just spreads strides.
-    for (const Gate &gate : gateZoo(0, 2, 7, 9)) {
-        std::vector<Amp> got = randomAmps(n, 42);
-        std::vector<Amp> want = got;
+    onEachIsa([&] {
+        for (const Gate &gate : gateZoo(0, 2, 7, 9)) {
+            std::vector<Amp> got = randomAmps(n, 42);
+            std::vector<Amp> want = got;
 
+            const KernelSpec spec = makeKernelSpec(gate);
+            applyKernel(spec, got.data(), n);
+
+            Amp *ref = want.data();
+            kernels::applyGate(
+                [ref](Index i) -> Amp & { return ref[i]; }, n, gate);
+
+            EXPECT_TRUE(sameBytes(got, want))
+                << gate.toString() << " (kind "
+                << kernelKindName(spec.kind) << ")";
+        }
+    });
+}
+
+/**
+ * Every kind on every target/control position, bit 0 included, ==
+ * the generic reference byte for byte on each dispatch path.
+ */
+TEST(KernelDispatch, EveryPlacementMatchesGenericByteExact)
+{
+    const int n = 6;
+    onEachIsa([&] {
+        for (const Gate &gate : placementZoo(n)) {
+            std::vector<Amp> got = randomAmps(n, 17);
+            std::vector<Amp> want = got;
+            applyKernel(makeKernelSpec(gate), got.data(), n);
+            Amp *ref = want.data();
+            kernels::applyGate(
+                [ref](Index i) -> Amp & { return ref[i]; }, n, gate);
+            EXPECT_TRUE(sameBytes(got, want)) << gate.toString();
+        }
+    });
+}
+
+/**
+ * The vector and scalar loops agree byte for byte on signed zeros and
+ * subnormals, over ranges that start and end off a vector boundary
+ * and over runs of 1-3 work items (the vector remainders).
+ */
+TEST(KernelDispatch, IsaPathsAgreeOnEdgeValuesAndShortRanges)
+{
+    const int n = 7;
+    const std::vector<Amp> init = edgeAmps(n, 2024);
+    for (const Gate &gate : placementZoo(n)) {
         const KernelSpec spec = makeKernelSpec(gate);
-        applyKernel(spec, got.data(), n);
-
-        Amp *ref = want.data();
-        kernels::applyGate([ref](Index i) -> Amp & { return ref[i]; },
-                           n, gate);
-
-        EXPECT_EQ(maxDiff(got, want), 0.0)
-            << gate.toString() << " (kind "
-            << kernelKindName(spec.kind) << ")";
+        const Index items = kernelWorkItems(spec, n);
+        for (const Index begin : {Index{0}, Index{1}, Index{2},
+                                  Index{3}, Index{5}, items / 2 - 1}) {
+            for (const Index len : {Index{1}, Index{2}, Index{3},
+                                    Index{4}, Index{7}, items}) {
+                const Index end = std::min(items, begin + len);
+                if (begin >= end)
+                    continue;
+                std::vector<Amp> detected = init, scalar = init;
+                applyKernel(spec, detected.data(), n, begin, end);
+                {
+                    ScopedScalarKernels force;
+                    applyKernel(spec, scalar.data(), n, begin, end);
+                }
+                EXPECT_TRUE(sameBytes(detected, scalar))
+                    << gate.toString() << " items [" << begin << ", "
+                    << end << ")";
+            }
+        }
     }
+}
+
+/**
+ * An X-like gate moves a -0 component: m01 * a1 with m01 = 1 keeps
+ * the sign of a1's zero. A dense matvec with the zero entries
+ * (0 * a0 + m01 * a1) would return +0.
+ */
+TEST(KernelDispatch, PermutationKeepsNegativeZero)
+{
+    onEachIsa([] {
+        for (const int t : {0, 1, 2}) {
+            std::vector<Amp> amps(stateSize(3), Amp{0.25, 0.5});
+            const Index partner = Index{1} << t;
+            amps[partner] = Amp{-0.0, 0.5};
+            applyKernel(makeKernelSpec(Gate(GateKind::X, {t})),
+                        amps.data(), 3);
+            EXPECT_TRUE(std::signbit(amps[0].real())) << "target " << t;
+            EXPECT_EQ(amps[0].imag(), 0.5) << "target " << t;
+        }
+    });
+}
+
+TEST(KernelDispatch, ScopedScalarKernelsRestoresTheDetectedIsa)
+{
+    const KernelIsa detected = kernelIsa();
+    {
+        ScopedScalarKernels scalar;
+        EXPECT_EQ(kernelIsa(), KernelIsa::Scalar);
+        {
+            ScopedScalarKernels nested;
+            EXPECT_EQ(kernelIsa(), KernelIsa::Scalar);
+        }
+        EXPECT_EQ(kernelIsa(), KernelIsa::Scalar);
+    }
+    EXPECT_EQ(kernelIsa(), detected);
 }
 
 /** Arbitrary work-item range splits compose to the full-range result. */
 TEST(KernelDispatch, RangeSplitsComposeBitExact)
 {
     const int n = 9;
-    for (const Gate &gate : gateZoo(1, 3, 6, 8)) {
-        const KernelSpec spec = makeKernelSpec(gate);
-        const Index items = kernelWorkItems(spec, n);
+    onEachIsa([&] {
+        for (const Gate &gate : gateZoo(1, 3, 6, 8)) {
+            const KernelSpec spec = makeKernelSpec(gate);
+            const Index items = kernelWorkItems(spec, n);
 
-        std::vector<Amp> got = randomAmps(n, 7);
-        std::vector<Amp> want = got;
-        applyKernel(spec, want.data(), n);
+            std::vector<Amp> got = randomAmps(n, 7);
+            std::vector<Amp> want = got;
+            applyKernel(spec, want.data(), n);
 
-        // Deliberately misaligned split points.
-        const Index cuts[] = {0, items / 3 + 1, items / 2 + 3, items};
-        for (int s = 0; s + 1 < 4; ++s)
-            applyKernel(spec, got.data(), n, cuts[s],
-                        std::min(cuts[s + 1], items));
+            // Deliberately misaligned split points.
+            const Index cuts[] = {0, items / 3 + 1, items / 2 + 3,
+                                  items};
+            for (int s = 0; s + 1 < 4; ++s)
+                applyKernel(spec, got.data(), n, cuts[s],
+                            std::min(cuts[s + 1], items));
 
-        EXPECT_EQ(maxDiff(got, want), 0.0) << gate.toString();
-    }
+            EXPECT_TRUE(sameBytes(got, want)) << gate.toString();
+        }
+    });
 }
 
 /** Chunked apply (local and cross-chunk groups) == generic flat. */
 TEST(KernelDispatch, ChunkedMatchesGenericBitExact)
 {
     const int n = 10;
-    for (int chunk_bits : {4, 6}) {
-        // hi targets land above the chunk boundary (cross-chunk for
-        // non-diagonal gates), lo targets below it.
-        for (const Gate &gate :
-             gateZoo(0, chunk_bits - 1, chunk_bits, n - 1)) {
-            const std::vector<Amp> init = randomAmps(n, 99);
+    onEachIsa([&] {
+        for (int chunk_bits : {4, 6}) {
+            // hi targets land above the chunk boundary (cross-chunk
+            // for non-diagonal gates), lo targets below it.
+            for (const Gate &gate :
+                 gateZoo(0, chunk_bits - 1, chunk_bits, n - 1)) {
+                const std::vector<Amp> init = randomAmps(n, 99);
 
-            StateVector flat(n);
-            flat.amplitudes() = init;
-            ChunkedStateVector chunked(n, chunk_bits);
-            chunked.fromFlat(flat);
+                StateVector flat(n);
+                flat.amplitudes() = init;
+                ChunkedStateVector chunked(n, chunk_bits);
+                chunked.fromFlat(flat);
 
-            applyGateChunked(chunked, gate);
+                applyGateChunked(chunked, gate);
 
-            std::vector<Amp> want = init;
-            Amp *ref = want.data();
-            kernels::applyGate(
-                [ref](Index i) -> Amp & { return ref[i]; }, n, gate);
+                std::vector<Amp> want = init;
+                Amp *ref = want.data();
+                kernels::applyGate(
+                    [ref](Index i) -> Amp & { return ref[i]; }, n,
+                    gate);
 
-            EXPECT_EQ(maxDiff(chunked.toFlat().amplitudes(), want),
-                      0.0)
-                << gate.toString() << " chunk_bits=" << chunk_bits;
+                EXPECT_TRUE(
+                    sameBytes(chunked.toFlat().amplitudes(), want))
+                    << gate.toString() << " chunk_bits=" << chunk_bits;
+            }
         }
-    }
+    });
 }
 
 /** applyGroup covers each group exactly once, matching the reference. */
 TEST(KernelDispatch, GroupwiseMatchesGenericBitExact)
 {
     const int n = 9, chunk_bits = 4;
-    for (const Gate &gate : gateZoo(0, 3, 5, 8)) {
-        const std::vector<Amp> init = randomAmps(n, 5);
-        StateVector flat(n);
-        flat.amplitudes() = init;
-        ChunkedStateVector chunked(n, chunk_bits);
-        chunked.fromFlat(flat);
+    onEachIsa([&] {
+        for (const Gate &gate : gateZoo(0, 3, 5, 8)) {
+            const std::vector<Amp> init = randomAmps(n, 5);
+            StateVector flat(n);
+            flat.amplitudes() = init;
+            ChunkedStateVector chunked(n, chunk_bits);
+            chunked.fromFlat(flat);
 
-        const GatePlan plan(gate, n, chunk_bits);
-        for (Index g = 0; g < plan.numGroups(); ++g)
-            applyGroup(chunked, gate, plan, g);
+            const GatePlan plan(gate, n, chunk_bits);
+            for (Index g = 0; g < plan.numGroups(); ++g)
+                applyGroup(chunked, gate, plan, g);
 
-        std::vector<Amp> want = init;
-        Amp *ref = want.data();
-        kernels::applyGate([ref](Index i) -> Amp & { return ref[i]; },
-                           n, gate);
-        EXPECT_EQ(maxDiff(chunked.toFlat().amplitudes(), want), 0.0)
-            << gate.toString();
-    }
+            std::vector<Amp> want = init;
+            Amp *ref = want.data();
+            kernels::applyGate(
+                [ref](Index i) -> Amp & { return ref[i]; }, n, gate);
+            EXPECT_TRUE(sameBytes(chunked.toFlat().amplitudes(), want))
+                << gate.toString();
+        }
+    });
 }
 
 /** Threaded flat/chunked apply is bit-identical to serial. */
 TEST(KernelDispatch, ThreadedApplyMatchesSerialBitExact)
 {
     const int n = 10;
-    for (const Gate &gate : gateZoo(0, 4, 7, 9)) {
-        StateVector serial(n), threaded(n);
-        serial.amplitudes() = randomAmps(n, 3);
-        threaded.amplitudes() = serial.amplitudes();
+    onEachIsa([&] {
+        for (const Gate &gate : gateZoo(0, 4, 7, 9)) {
+            StateVector serial(n), threaded(n);
+            serial.amplitudes() = randomAmps(n, 3);
+            threaded.amplitudes() = serial.amplitudes();
 
-        setSimThreads(1);
-        serial.apply(gate);
-        setSimThreads(4);
-        threaded.apply(gate);
-        setSimThreads(1);
+            setSimThreads(1);
+            serial.apply(gate);
+            setSimThreads(4);
+            threaded.apply(gate);
+            setSimThreads(1);
 
-        EXPECT_EQ(maxDiff(serial.amplitudes(),
-                          threaded.amplitudes()),
-                  0.0)
-            << gate.toString();
-    }
+            EXPECT_TRUE(
+                sameBytes(serial.amplitudes(), threaded.amplitudes()))
+                << gate.toString();
+        }
+    });
 }
 
 /** A run of diagonal gates fuses into a *diagonal* Custom gate. */
