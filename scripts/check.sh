@@ -162,7 +162,7 @@ if [ "$RUN_TSAN" -eq 1 ]; then
         test_statevec test_compress test_thread_determinism \
         test_sweep_executor test_shard_differential test_service \
         test_batched_differential test_chunk_storage \
-        test_storage_differential
+        test_storage_differential test_host_geometry
     # The parallelism-focused suites: the pool itself, the pool-backed
     # parallelFor / threaded apply, the cross-thread determinism +
     # stress tests, the sweep executor (whose group fan-out chains
@@ -175,9 +175,10 @@ if [ "$RUN_TSAN" -eq 1 ]; then
     # stay bit-identical while the apply path fans out). The storage
     # suites join because a pinned block's refills run as one pool
     # task, concurrently with the scheduling thread that evicts and
-    # pins the next block.
+    # pins the next block. The host-geometry suite fans in-place host
+    # blocks and gathered groups of one sweep across 4 workers.
     ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|TaskGroup|SimThreads|ParallelFor|ThreadedApply|Determinism|Stress|Sweep|ShardDifferential|Service|ResultCache|Batched|ColdStoreRoundTrip|BoundedState|StorageDifferential'
+        -R 'ThreadPool|TaskGroup|SimThreads|ParallelFor|ThreadedApply|Determinism|Stress|Sweep|ShardDifferential|Service|ResultCache|Batched|ColdStoreRoundTrip|BoundedState|StorageDifferential|HostGeometry'
 fi
 
 if [ "$RUN_ASAN" -eq 1 ]; then

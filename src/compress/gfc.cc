@@ -700,18 +700,19 @@ void
 GfcCodec::decompressAmpsF32(const CompressedBlock &block,
                             Amp *out) const
 {
-    std::vector<float> narrow(block.numDoubles);
-    decompressF32(block, narrow.data());
+    // Decode the floats into the front half of the output, then widen
+    // back to front in place: double i overwrites floats 2i and 2i+1,
+    // which are read before it is written, so no scratch is needed.
     // Widening float -> double is exact, so the reconstructed Amp
     // components equal the quantized values that were compressed.
-    double *raw = reinterpret_cast<double *>(out);
-    parallelFor(
-        0, block.numDoubles, simThreads(),
-        [&](std::uint64_t lo, std::uint64_t hi) {
-            for (std::uint64_t i = lo; i < hi; ++i)
-                raw[i] = static_cast<double>(narrow[i]);
-        },
-        codecGrain());
+    auto *bytes = reinterpret_cast<unsigned char *>(out);
+    decompressF32(block, reinterpret_cast<float *>(out));
+    for (std::uint64_t i = block.numDoubles; i-- > 0;) {
+        float f;
+        std::memcpy(&f, bytes + i * sizeof(float), sizeof f);
+        const double d = f;
+        std::memcpy(bytes + i * sizeof(double), &d, sizeof d);
+    }
 }
 
 std::uint64_t

@@ -142,7 +142,9 @@ class GfcCodec
     /**
      * Decompress an fp32-lane block into numDoubles/2 amplitudes,
      * widening each component to double (exact, so the result equals
-     * the quantized values that were compressed).
+     * the quantized values that were compressed). The floats are
+     * decoded into @p out itself and widened in place: no scratch
+     * allocation per refill.
      */
     void decompressAmpsF32(const CompressedBlock &block,
                            Amp *out) const;

@@ -192,14 +192,19 @@ ExecutionEngine::runBatched(const Circuit &circuit,
         if (options_.fastMath && kernelTier() != KernelTier::Fast)
             tier.emplace(KernelTier::Fast);
 
+        // One state for the batch, reset in place for every shot.
+        std::optional<RunState> run_state;
         for (std::uint64_t s = 0; s < shots && br.ok(); ++s) {
             Rng rng(seed_for(s));
             const auto events = model.sample(gates, rng);
             br.stats.add(statkeys::noiseEvents,
                          static_cast<double>(events.size()));
             try {
-                RunState run_state(options_, n, plan.chunkBits);
-                ChunkedStateVector &state = run_state.state;
+                if (run_state)
+                    run_state->reset(options_);
+                else
+                    run_state.emplace(options_, n, plan.chunkBits);
+                ChunkedStateVector &state = run_state->state;
 
                 std::size_t ev = 0;
                 for (const PlanSweep &ps : plan.sweeps) {

@@ -24,6 +24,14 @@ RunState::RunState(const ExecOptions &options, int num_qubits,
         state.setPrecision(options.precision, options.adaptiveThreshold);
 }
 
+void
+RunState::reset(const ExecOptions &options)
+{
+    injector = FaultInjector(FaultSpec::resolve(options.faultSpec),
+                             options.faultSeed);
+    state.reset();
+}
+
 bool
 ExecOptions::defaultFastMath()
 {

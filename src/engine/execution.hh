@@ -311,6 +311,14 @@ struct RunState
     RunState(const ExecOptions &options, int num_qubits,
              int chunk_bits);
 
+    /**
+     * Start over as a freshly built RunState would: the injector
+     * reseeded from @p options, the state back to |0...0> in place
+     * (same geometry, storage and precision; the raw arena's memory
+     * is reused). @p options must be the constructor's.
+     */
+    void reset(const ExecOptions &options);
+
     FaultInjector injector;
     ChunkedStateVector state;
 };

@@ -588,7 +588,7 @@ StreamingEngine::execute(const Circuit &circuit, RunResult &result)
         result.stats.set("precision.promoted_chunks",
                          static_cast<double>(state.promotedChunks()));
     exportStorageStats(state, result.stats);
-    return state.toFlat();
+    return state.takeFlat();
 }
 
 } // namespace qgpu

@@ -1,6 +1,10 @@
 #include "statevec/apply.hh"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
+#include <optional>
 
 #include "common/cacheinfo.hh"
 #include "common/logging.hh"
@@ -57,6 +61,9 @@ GatePlan::members(Index group) const
 namespace
 {
 
+/** Set while a ScopedGatherPath lives. */
+std::atomic<bool> g_gather_path{false};
+
 /** Kernel kind of a k-qubit diagonal gate (for the metrics counters). */
 KernelKind
 diagKindOf(int k)
@@ -69,11 +76,11 @@ diagKindOf(int k)
 }
 
 /**
- * Apply a diagonal gate to one contiguous register slice after the
- * constant selector bits have been folded into @p fixed_sel: the
- * @p local (register bit, selector shift) pairs drive the specialized
- * contiguous diag kernels, every other selector bit is constant for
- * the slice.
+ * Apply a diagonal gate to one contiguous, aligned register slice
+ * after the constant selector bits have been folded into
+ * @p fixed_sel: the @p local (register bit, selector shift) pairs,
+ * ascending by bit, drive the specialized contiguous diag kernels;
+ * every other selector bit is constant for the slice.
  */
 void
 applyDiagFolded(Amp *data, Index size, int fixed_sel,
@@ -94,12 +101,8 @@ applyDiagFolded(Amp *data, Index size, int fixed_sel,
         return;
     }
     if (local.size() == 2) {
-        auto [qa, ja] = local[0];
-        auto [qb, jb] = local[1];
-        if (qa > qb) {
-            std::swap(qa, qb);
-            std::swap(ja, jb);
-        }
+        const auto [qa, ja] = local[0];
+        const auto [qb, jb] = local[1];
         Amp lut[4];
         for (int c = 0; c < 4; ++c) {
             const int sel = fixed_sel | ((c & 1) << ja) |
@@ -109,42 +112,15 @@ applyDiagFolded(Amp *data, Index size, int fixed_sel,
         kern::diag2(data, qa, qb, lut, 0, size);
         return;
     }
-
-    for (Index off = 0; off < size; ++off) {
+    // More varying bits: within an aligned sub-slice below the third
+    // one only the lowest two vary, so fold the rest per sub-slice.
+    const Index sub = Index{1} << local[2].first;
+    for (Index a = 0; a < size; a += sub) {
         int sel = fixed_sel;
-        for (const auto &[q, j] : local)
-            sel |= static_cast<int>(bits::testBit(off, q)) << j;
-        data[off] *= m.at(sel, sel);
+        for (const auto &[q, j] : local.subspan(2))
+            sel |= static_cast<int>(bits::testBit(a, q)) << j;
+        applyDiagFolded(data + a, sub, sel, local.first(2), m);
     }
-}
-
-/**
- * Apply a diagonal gate to one chunk. Selector bits contributed by
- * targets above the chunk boundary are constant for the chunk, so
- * they fold into the diagonal lookup and the chunk-local bits drive
- * the specialized contiguous diag kernels.
- */
-void
-applyDiagToChunk(ChunkedStateVector &state, const GateMatrix &m,
-                 const std::vector<int> &qubits, Index chunk_idx)
-{
-    const int k = static_cast<int>(qubits.size());
-    const int chunk_bits = state.chunkBits();
-    Amp *data = state.chunk(chunk_idx).data();
-    const Index chunk_base = chunk_idx << chunk_bits;
-
-    int fixed_sel = 0;
-    std::vector<std::pair<int, int>> local; // (chunk bit, selector shift)
-    for (int j = 0; j < k; ++j) {
-        const int q = qubits[j];
-        if (q >= chunk_bits)
-            fixed_sel |= static_cast<int>(bits::testBit(chunk_base, q))
-                         << j;
-        else
-            local.emplace_back(q, j);
-    }
-
-    applyDiagFolded(data, state.chunkSize(), fixed_sel, local, m);
 }
 
 /** Remap gate targets into the group-local register. */
@@ -165,23 +141,22 @@ remapGateForGroup(const Gate &gate, const std::vector<int> &global_bits,
     return out;
 }
 
-/** Case-1 body, non-diagonal: all targets live below the chunk
- *  boundary, so the specialized kernels run directly on the chunk. */
-void
-applySpecToChunk(ChunkedStateVector &state, const KernelSpec &spec,
-                 Index chunk_idx)
-{
-    applyKernel(spec, state.chunk(chunk_idx).data(),
-                state.chunkBits());
-}
-
 /**
- * Size the recycled gather buffer for @p need amplitudes. A capacity
- * left over from a larger group is dropped first when it exceeds what
- * L3 could ever serve quickly (common/cacheinfo.hh): one oversized
- * group may grow the buffer, but it must not pin the high-water mark
- * for the rest of the run.
+ * Per-worker reusable buffers of the gather path: the member chunk
+ * indices, their liveness, and the contiguous gather register.
+ * Capacity retained across groups is bounded by scratchRetainAmps()
+ * (common/cacheinfo.hh): a single oversized group may grow the
+ * buffer, but the excess is released before the next gather instead
+ * of pinning the high-water mark.
  */
+struct GroupScratch
+{
+    std::vector<Index> members;
+    std::vector<char> live;
+    std::vector<Amp> gathered;
+};
+
+/** Size the recycled gather buffer for @p need amplitudes. */
 void
 prepareGathered(GroupScratch &scratch, std::size_t need)
 {
@@ -189,25 +164,6 @@ prepareGathered(GroupScratch &scratch, std::size_t need)
     if (cap > need && cap > scratchRetainAmps())
         std::vector<Amp>().swap(scratch.gathered);
     scratch.gathered.resize(need);
-}
-
-/**
- * Case-2 body with scratch.members already filled: gather the member
- * chunks into the worker's contiguous register, run the specialized
- * kernel there, and scatter back. @p spec is built from the gate with
- * targets remapped into the group-local register (identical for every
- * group of a plan, so callers hoist it).
- */
-void
-applyGroupPrepared(ChunkedStateVector &state, const KernelSpec &spec,
-                   const GatePlan &plan, GroupScratch &scratch)
-{
-    const int sub_qubits =
-        state.chunkBits() + static_cast<int>(plan.globalBits().size());
-    prepareGathered(scratch, stateSize(sub_qubits));
-    state.gatherChunks(scratch.members, scratch.gathered.data());
-    applyKernel(spec, scratch.gathered.data(), sub_qubits);
-    state.scatterChunks(scratch.members, scratch.gathered.data());
 }
 
 /** Modeled amplitudes written by one full application of @p spec. */
@@ -219,25 +175,27 @@ specAmps(const KernelSpec &spec, int num_qubits)
 }
 
 /**
- * One gate of a sweep, pre-classified for the chunk-major executor.
- * Non-diagonal gates carry their KernelSpec (targets remapped into
- * the gathered register for cross-chunk gates); diagonal gates carry
- * the matrix plus the selector-bit split that lets the fold be
- * finished per chunk / per group member in the worker.
+ * One gate of a sweep, pre-classified for the executor. Non-diagonal
+ * gates carry their KernelSpec at the gate's own qubit positions,
+ * which is what runs on chunks and in-place host blocks; diagonal
+ * gates carry the matrix and their selector bits, folded per block.
+ * Cross ops also get a spec for the gathered group register when the
+ * gather path runs (prepareGatherPath).
  */
 struct SweepOp
 {
+    const Gate *gate = nullptr;
     bool diag = false;
     bool cross = false; // non-diagonal, couples the sweep's G bits
     KernelSpec spec{};  // valid when !diag
-    GateMatrix dm{1};   // valid when diag
-    // Diagonal selector-bit split, (position, selector shift) pairs:
-    std::vector<std::pair<int, int>> low;       // chunk-local bits
-    std::vector<std::pair<int, int>> memberSel; // index into G
-    std::vector<std::pair<int, int>> groupSel;  // chunk-index bit not
-                                                // in G (group-constant)
+    /** Cross ops on the gather path: targets remapped into the
+     *  gathered register. */
+    std::optional<KernelSpec> groupSpec;
+    GateMatrix dm{0}; // valid when diag
+    /** Diagonal: every (qubit, selector shift) pair, by qubit. */
+    std::vector<std::pair<int, int>> sel;
     KernelKind kind{};
-    Index amps = 0; // modeled amplitudes (applyGateChunked's totals)
+    Index amps = 0; // modeled amplitudes (per-gate kernel totals)
 };
 
 /**
@@ -250,57 +208,91 @@ std::vector<SweepOp>
 buildSweepOps(std::span<const Gate> gates, const std::vector<int> &G,
               int num_qubits, int chunk_bits)
 {
-    const int sub_qubits = chunk_bits + static_cast<int>(G.size());
-    const Index num_chunks = Index{1} << (num_qubits - chunk_bits);
-    const Index num_groups = Index{1} << (num_qubits - sub_qubits);
-
-    std::vector<SweepOp> ops;
-    ops.reserve(gates.size());
-    for (const Gate &gate : gates) {
-        SweepOp op;
+    std::vector<SweepOp> ops(gates.size());
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+        const Gate &gate = gates[i];
+        SweepOp &op = ops[i];
+        op.gate = &gate;
         if (gate.isDiagonal()) {
             op.diag = true;
             op.dm = gate.matrix();
-            const int k = gate.numQubits();
-            for (int j = 0; j < k; ++j) {
-                const int q = gate.qubits[j];
-                if (q < chunk_bits) {
-                    op.low.emplace_back(q, j);
-                    continue;
-                }
-                const int g = q - chunk_bits;
-                const auto it =
-                    std::lower_bound(G.begin(), G.end(), g);
-                if (it != G.end() && *it == g)
-                    op.memberSel.emplace_back(
-                        static_cast<int>(it - G.begin()), j);
-                else
-                    op.groupSel.emplace_back(g, j);
-            }
-            op.kind = diagKindOf(k);
+            for (int j = 0; j < gate.numQubits(); ++j)
+                op.sel.emplace_back(gate.qubits[j], j);
+            std::sort(op.sel.begin(), op.sel.end());
+            op.kind = diagKindOf(gate.numQubits());
             op.amps = stateSize(num_qubits);
-        } else {
-            const std::vector<int> gbits =
-                gateGlobalBits(gate, chunk_bits);
-            if (gbits.empty()) {
-                op.spec = makeKernelSpec(gate);
-                op.amps = num_chunks * specAmps(op.spec, chunk_bits);
-            } else {
-                if (gbits != G)
-                    QGPU_PANIC("gate '", gate.toString(),
-                               "' couples other chunk-index bits than "
-                               "its sweep: not a sweep at chunk size ",
-                               chunk_bits);
-                op.cross = true;
-                op.spec = makeKernelSpec(
-                    remapGateForGroup(gate, G, chunk_bits));
-                op.amps = num_groups * specAmps(op.spec, sub_qubits);
-            }
-            op.kind = op.spec.kind;
+            continue;
         }
-        ops.push_back(std::move(op));
+        // The gate's coupled bits (gateGlobalBits) must be exactly G;
+        // its qubits are distinct, so checking membership and count
+        // suffices.
+        std::size_t coupled = 0;
+        bool in_g = true;
+        for (int q : gate.qubits) {
+            if (q < chunk_bits)
+                continue;
+            ++coupled;
+            in_g = in_g &&
+                   std::binary_search(G.begin(), G.end(), q - chunk_bits);
+        }
+        if (coupled != 0) {
+            if (!in_g || coupled != G.size())
+                QGPU_PANIC("gate '", gate.toString(),
+                           "' couples other chunk-index bits than its "
+                           "sweep: not a sweep at chunk size ",
+                           chunk_bits);
+            op.cross = true;
+        }
+        op.spec = makeKernelSpec(gate);
+        op.kind = op.spec.kind;
+        // Work items depend only on the register size and the
+        // gate's arity, so this equals groups x the per-group count.
+        op.amps = specAmps(op.spec, num_qubits);
     }
     return ops;
+}
+
+/** Give the cross ops of a sweep over coupled bits @p G their
+ *  gathered-register specs. */
+void
+prepareGatherPath(std::span<SweepOp> ops, const std::vector<int> &G,
+                  int chunk_bits)
+{
+    for (SweepOp &op : ops)
+        if (op.cross && !op.groupSpec)
+            op.groupSpec = makeKernelSpec(
+                remapGateForGroup(*op.gate, G, chunk_bits));
+}
+
+/**
+ * Run one non-cross op over the aligned block of 2^@p bits amplitudes
+ * at global index @p base, held at @p data. A non-diagonal op's
+ * qubits all lie below @p bits; diagonal selector bits at or above it
+ * are constant over the block and fold into the lookup.
+ */
+void
+runOp(const SweepOp &op, Amp *data, int bits, Index base)
+{
+    if (!op.diag) {
+        applyKernel(op.spec, data, bits);
+        return;
+    }
+    std::size_t local = 0;
+    while (local < op.sel.size() && op.sel[local].first < bits)
+        ++local;
+    int fixed = 0;
+    for (const auto &[q, j] : std::span(op.sel).subspan(local))
+        fixed |= static_cast<int>(bits::testBit(base, q)) << j;
+    applyDiagFolded(data, Index{1} << bits, fixed,
+                    std::span(op.sel).first(local), op.dm);
+}
+
+/** runOp for every op of a sweep, on a block every op fits in. */
+void
+runBlock(std::span<const SweepOp> ops, Amp *data, int bits, Index base)
+{
+    for (const SweepOp &op : ops)
+        runOp(op, data, bits, base);
 }
 
 /**
@@ -397,114 +389,359 @@ expandChunk(Index c, std::vector<Index> &out)
     out.push_back(c);
 }
 
+/**
+ * Per-chunk path of a chunk-local sweep: each live chunk is loaded
+ * once and every op chains over it while it is cache-resident. A
+ * chunk that out-sizes the cache-derived sweep tile
+ * (common/cacheinfo.hh) is processed in aligned sub-blocks of the
+ * tile instead, so each op reads amplitudes the previous op just
+ * wrote while they are still L2-resident. The tile is widened until
+ * it clears every non-diagonal qubit of the sweep, so a sub-block
+ * holds whole work items of every op.
+ */
+void
+runChunks(ChunkedStateVector &state, std::span<const SweepOp> ops,
+          const ZeroPredicate &zero)
+{
+    const int chunk_bits = state.chunkBits();
+    const Index chunk_size = state.chunkSize();
+    int tile_bits = sweepTileBits();
+    for (const SweepOp &op : ops)
+        if (!op.diag)
+            for (int q : op.spec.qubits)
+                tile_bits = std::max(tile_bits, q + 1);
+    tile_bits = std::min(tile_bits, chunk_bits);
+    const auto run_chunk = [&](Index c) {
+        Amp *data = state.chunk(c).data();
+        for (Index a = 0; a < chunk_size; a += Index{1} << tile_bits)
+            runBlock(ops, data + a, tile_bits, (c << chunk_bits) + a);
+    };
+    const int threads = simThreads();
+    const double chunk_cost = static_cast<double>(ops.size()) *
+                              static_cast<double>(chunk_size);
+    if (!state.boundedStorage()) {
+        parallelFor(
+            0, state.numChunks(), threads,
+            [&](std::uint64_t lo, std::uint64_t hi) {
+                for (Index c = lo; c < hi; ++c) {
+                    if (zero && zero(c))
+                        continue;
+                    run_chunk(c);
+                }
+            },
+            1, chunk_cost);
+        return;
+    }
+    // Bounded storage: pin a working-set-sized block of live chunks,
+    // compute it in parallel, and prefetch the next block's refills
+    // on the pool meanwhile.
+    ChunkResidency &res = *state.residency();
+    const std::vector<Index> live = liveChunks(state, zero);
+    runPinnedBlocks(res, live, res.maxPinnedBlock(), expandChunk,
+                    [&](std::span<const Index> blk) {
+                        parallelFor(
+                            std::size_t{0}, blk.size(), threads,
+                            [&](std::uint64_t lo, std::uint64_t hi) {
+                                for (std::uint64_t i = lo; i < hi; ++i)
+                                    run_chunk(blk[i]);
+                            },
+                            1, chunk_cost);
+                    });
+}
+
+/**
+ * Gather path of one cross-chunk group: gather the member chunks into
+ * the worker's contiguous register, chain every op over it, scatter
+ * back. Per-member liveness is computed once: the mask behind @p zero
+ * is constant across a sweep, and skip decisions must match
+ * gate-by-gate exactly (writing to a provably-zero chunk could flip
+ * signed-zero bits).
+ */
+void
+runGroup(ChunkedStateVector &state, std::span<const SweepOp> ops,
+         const GatePlan &plan, Index g, const ZeroPredicate &zero,
+         GroupScratch &scratch)
+{
+    const int chunk_bits = state.chunkBits();
+    const Index chunk_size = state.chunkSize();
+    const int sub_qubits =
+        chunk_bits + static_cast<int>(plan.globalBits().size());
+    const int span = plan.chunksPerGroup();
+    plan.membersInto(g, scratch.members);
+    bool any_live = true;
+    if (zero) {
+        scratch.live.assign(span, 0);
+        any_live = false;
+        for (int m = 0; m < span; ++m)
+            if (!zero(scratch.members[m])) {
+                scratch.live[m] = 1;
+                any_live = true;
+            }
+    }
+    if (!any_live)
+        return;
+    prepareGathered(scratch, stateSize(sub_qubits));
+    Amp *reg = scratch.gathered.data();
+    // Member chunks are pinned (bounded storage), so chunk() only
+    // reads their slots.
+    for (int m = 0; m < span; ++m)
+        std::ranges::copy(state.chunk(scratch.members[m]),
+                          reg + m * chunk_size);
+    for (const SweepOp &op : ops) {
+        if (op.cross) {
+            // Whole gathered register, exactly like gate-by-gate's
+            // group apply (which runs when any member is live).
+            applyKernel(*op.groupSpec, reg, sub_qubits);
+            continue;
+        }
+        for (int m = 0; m < span; ++m)
+            if (!zero || scratch.live[m])
+                runOp(op, reg + m * chunk_size, chunk_bits,
+                      scratch.members[m] << chunk_bits);
+    }
+    for (int m = 0; m < span; ++m)
+        std::ranges::copy_n(reg + m * chunk_size, chunk_size,
+                            state.chunk(scratch.members[m]).begin());
+}
+
+/** Gather path of a cross-chunk sweep over coupled bits @p G: every
+ *  group with a live member, fanned out across the pool. */
+void
+runGroups(ChunkedStateVector &state, std::span<const SweepOp> ops,
+          const std::vector<int> &G, const ZeroPredicate &zero)
+{
+    const GatePlan plan(G, state.numQubits(), state.chunkBits());
+    const int span = plan.chunksPerGroup();
+    const int threads = simThreads();
+    const double group_cost = static_cast<double>(ops.size()) *
+                              static_cast<double>(state.chunkSize()) *
+                              static_cast<double>(span);
+    if (!state.boundedStorage()) {
+        parallelFor(
+            0, plan.numGroups(), threads,
+            [&](std::uint64_t lo, std::uint64_t hi) {
+                GroupScratch scratch;
+                for (Index g = lo; g < hi; ++g)
+                    runGroup(state, ops, plan, g, zero, scratch);
+            },
+            1, group_cost);
+        return;
+    }
+    // Bounded storage: gather/scatter touch every member of a group,
+    // so whole groups are pinned per block (all members, dead ones
+    // included — a Zero chunk zero-fills to exactly the bytes the raw
+    // path holds).
+    ChunkResidency &res = *state.residency();
+    const std::vector<Index> lg = liveGroups(plan, zero);
+    const Index per_block =
+        std::max<Index>(1, res.maxPinnedBlock() / span);
+    std::vector<Index> members;
+    runPinnedBlocks(
+        res, lg, per_block,
+        [&](Index g, std::vector<Index> &out) {
+            plan.membersInto(g, members);
+            out.insert(out.end(), members.begin(), members.end());
+        },
+        [&](std::span<const Index> blk) {
+            parallelFor(
+                std::size_t{0}, blk.size(), threads,
+                [&](std::uint64_t lo, std::uint64_t hi) {
+                    GroupScratch scratch;
+                    for (std::uint64_t i = lo; i < hi; ++i)
+                        runGroup(state, ops, plan, blk[i], zero,
+                                 scratch);
+                },
+                1, group_cost);
+        });
+}
+
+/**
+ * Raw storage: run the sweep in place over host blocks of the arena
+ * (DESIGN.md "Host geometry vs modeled geometry"). The liveness unit
+ * is a chunk for a chunk-local sweep and, for a sweep coupling
+ * chunk-index bits @p G, the aligned block of 2^H amplitudes with
+ * H = chunkBits + max(G) + 1, which holds whole groups. Runs of
+ * fully live units merge into aligned regions of up to a sweep tile,
+ * and every op runs on a region at its own qubit positions: no
+ * gather, no per-chunk calls. A unit with both live and dead chunks,
+ * or a sweep whose unit out-sizes the tile, takes the gather path
+ * group by group, so every skip decision is the gather path's.
+ */
+void
+runHostBlocks(ChunkedStateVector &state, std::span<SweepOp> ops,
+              const std::vector<int> &G, const ZeroPredicate &zero)
+{
+    const int n = state.numQubits();
+    const int chunk_bits = state.chunkBits();
+    const int threads = simThreads();
+    const int tile = sweepTileBits();
+    const int unit_bits =
+        G.empty() ? chunk_bits : chunk_bits + G.back() + 1;
+    if (!G.empty() && unit_bits > tile) {
+        prepareGatherPath(ops, G, chunk_bits);
+        runGroups(state, ops, G, zero);
+        return;
+    }
+    // Smallest region every non-diagonal op fits in whole.
+    int min_bits = G.empty() ? 0 : unit_bits;
+    for (const SweepOp &op : ops)
+        if (!op.diag)
+            for (int q : op.spec.qubits)
+                min_bits = std::max(min_bits, q + 1);
+    // Regions of a tile, but at least four per worker over the whole
+    // register so a small state still spreads across the pool.
+    int region_bits = tile;
+    if (threads > 1)
+        region_bits = std::min(
+            region_bits,
+            n - 2 -
+                static_cast<int>(std::bit_width(
+                    static_cast<unsigned>(threads - 1))));
+    region_bits = std::max(region_bits, min_bits);
+
+    struct Item
+    {
+        Index base; // global index of the first amplitude
+        int bits;
+        bool gather; // a partly live unit: its groups, gathered
+    };
+    std::vector<Item> items;
+    // Split the run [a, b) of fully live units into the largest
+    // aligned regions of at most region_bits.
+    const auto emit = [&](Index a, Index b) {
+        for (Index lo = a << unit_bits, hi = b << unit_bits; lo < hi;) {
+            int bits = std::min(
+                region_bits, static_cast<int>(std::bit_width(hi - lo)) - 1);
+            if (lo != 0)
+                bits = std::min(bits, std::countr_zero(lo));
+            items.push_back({lo, bits, false});
+            lo += Index{1} << bits;
+        }
+    };
+    const Index num_units = Index{1} << (n - unit_bits);
+    const Index unit_chunks = Index{1} << (unit_bits - chunk_bits);
+    Index run = 0;
+    bool any_gather = false;
+    for (Index u = 0; u < num_units; ++u) {
+        Index live = unit_chunks;
+        if (zero) {
+            live = 0;
+            for (Index c = u * unit_chunks; c < (u + 1) * unit_chunks;
+                 ++c)
+                live += zero(c) ? 0 : 1;
+        }
+        if (live == unit_chunks) {
+            ++run;
+            continue;
+        }
+        emit(u - run, u);
+        run = 0;
+        if (live != 0) {
+            items.push_back({u << unit_bits, unit_bits, true});
+            any_gather = true;
+        }
+    }
+    emit(num_units - run, num_units);
+    if (items.empty())
+        return;
+
+    std::optional<GatePlan> plan;
+    if (any_gather) {
+        prepareGatherPath(ops, G, chunk_bits);
+        plan.emplace(G, n, chunk_bits);
+    }
+    const Index unit_groups =
+        Index{1}
+        << (unit_bits - chunk_bits - static_cast<int>(G.size()));
+    Amp *arena = state.arena().data();
+    parallelFor(
+        std::size_t{0}, items.size(), threads,
+        [&](std::uint64_t lo, std::uint64_t hi) {
+            GroupScratch scratch;
+            for (std::uint64_t i = lo; i < hi; ++i) {
+                const Item &item = items[i];
+                if (!item.gather) {
+                    runBlock(ops, arena + item.base, item.bits,
+                             item.base);
+                    continue;
+                }
+                const Index g0 = (item.base >> unit_bits) * unit_groups;
+                for (Index g = g0; g < g0 + unit_groups; ++g)
+                    runGroup(state, ops, *plan, g, zero, scratch);
+            }
+        },
+        1,
+        static_cast<double>(ops.size()) *
+            static_cast<double>(Index{1} << region_bits));
+}
+
+/**
+ * The functional update of one sweep: in place over host blocks on
+ * raw storage, through the per-chunk and gather path on bounded
+ * storage (or when a ScopedGatherPath forces it).
+ */
+void
+executeSweep(ChunkedStateVector &state, std::span<SweepOp> ops,
+             const std::vector<int> &G, const ZeroPredicate &zero)
+{
+    const int index_bits = state.numQubits() - state.chunkBits();
+    if (!G.empty() && G.back() >= index_bits)
+        QGPU_PANIC("sweep couples chunk-index bit ", G.back(),
+                   " of a ", index_bits, "-bit chunk index");
+    if (!state.boundedStorage() &&
+        !g_gather_path.load(std::memory_order_relaxed)) {
+        runHostBlocks(state, ops, G, zero);
+        return;
+    }
+    prepareGatherPath(ops, G, state.chunkBits());
+    if (G.empty())
+        runChunks(state, ops, zero);
+    else
+        runGroups(state, ops, G, zero);
+}
+
+/** Per-kind kernel counters for @p ops: the same totals as one
+ *  recordKernelMetrics call per op, in one call per kind. */
+void
+recordOpMetrics(std::span<const SweepOp> ops)
+{
+    std::array<std::uint64_t, numKernelKinds> calls{};
+    std::array<Index, numKernelKinds> amps{};
+    for (const SweepOp &op : ops) {
+        ++calls[static_cast<int>(op.kind)];
+        amps[static_cast<int>(op.kind)] += op.amps;
+    }
+    for (int k = 0; k < numKernelKinds; ++k)
+        if (calls[k] != 0)
+            recordKernelMetrics(static_cast<KernelKind>(k), amps[k],
+                                calls[k]);
+}
+
 } // namespace
+
+ScopedGatherPath::ScopedGatherPath()
+    : prev_(g_gather_path.exchange(true, std::memory_order_relaxed))
+{
+}
+
+ScopedGatherPath::~ScopedGatherPath()
+{
+    g_gather_path.store(prev_, std::memory_order_relaxed);
+}
 
 void
 applyGroup(ChunkedStateVector &state, const Gate &gate,
            const GatePlan &plan, Index group)
 {
-    if (plan.perChunk()) {
-        // state.chunk() materializes on demand (serial path).
-        if (gate.isDiagonal())
-            applyDiagToChunk(state, gate.matrix(), gate.qubits,
-                             group);
-        else
-            applySpecToChunk(state, makeKernelSpec(gate), group);
-        return;
-    }
-    GroupScratch scratch;
-    plan.membersInto(group, scratch.members);
-    if (state.boundedStorage())
-        state.residency()->pin(scratch.members);
-    const Gate remapped = remapGateForGroup(gate, plan.globalBits(),
-                                            state.chunkBits());
-    applyGroupPrepared(state, makeKernelSpec(remapped), plan, scratch);
-    if (state.boundedStorage())
-        state.residency()->unpin(scratch.members);
-}
-
-void
-applyGroups(ChunkedStateVector &state, const Gate &gate,
-            const GatePlan &plan, std::span<const Index> groups)
-{
-    if (groups.empty())
-        return;
-    const int threads = simThreads();
-    // Bounded storage: make every chunk this batch touches resident
-    // before fanning out (workers must never trigger a refill). The
-    // batch is caller-sized, so no block pipeline here — a batch
-    // larger than the working set transiently overshoots, which is
-    // safe (pinned chunks are never evicted).
-    std::vector<Index> pinned;
-    if (state.boundedStorage()) {
-        if (plan.perChunk()) {
-            pinned.assign(groups.begin(), groups.end());
-        } else {
-            std::vector<Index> members;
-            for (Index g : groups) {
-                plan.membersInto(g, members);
-                pinned.insert(pinned.end(), members.begin(),
-                              members.end());
-            }
-        }
-        state.residency()->pin(pinned);
-    }
-    struct Unpin
-    {
-        ChunkedStateVector &state;
-        const std::vector<Index> &chunks;
-        ~Unpin()
-        {
-            if (!chunks.empty())
-                state.residency()->unpin(chunks);
-        }
-    } unpin{state, pinned};
-    if (plan.perChunk()) {
-        if (gate.isDiagonal()) {
-            const GateMatrix m = gate.matrix();
-            parallelFor(
-                0, groups.size(), threads,
-                [&](std::uint64_t lo, std::uint64_t hi) {
-                    for (std::uint64_t i = lo; i < hi; ++i)
-                        applyDiagToChunk(state, m, gate.qubits,
-                                         groups[i]);
-                },
-                1, static_cast<double>(state.chunkSize()));
-            recordKernelMetrics(diagKindOf(gate.numQubits()),
-                                groups.size() * state.chunkSize());
-            return;
-        }
-        const KernelSpec spec = makeKernelSpec(gate);
-        parallelFor(
-            0, groups.size(), threads,
-            [&](std::uint64_t lo, std::uint64_t hi) {
-                for (std::uint64_t i = lo; i < hi; ++i)
-                    applySpecToChunk(state, spec, groups[i]);
-            },
-            1,
-            static_cast<double>(specAmps(spec, state.chunkBits())));
-        recordKernelMetrics(spec.kind,
-                            groups.size() *
-                                specAmps(spec, state.chunkBits()));
-        return;
-    }
-    const Gate remapped = remapGateForGroup(gate, plan.globalBits(),
-                                            state.chunkBits());
-    const KernelSpec spec = makeKernelSpec(remapped);
-    const int sub_qubits =
-        state.chunkBits() + static_cast<int>(plan.globalBits().size());
-    parallelFor(
-        0, groups.size(), threads,
-        [&](std::uint64_t lo, std::uint64_t hi) {
-            GroupScratch scratch;
-            for (std::uint64_t i = lo; i < hi; ++i) {
-                plan.membersInto(groups[i], scratch.members);
-                applyGroupPrepared(state, spec, plan, scratch);
-            }
-        },
-        1, static_cast<double>(specAmps(spec, sub_qubits)));
-    recordKernelMetrics(spec.kind,
-                        groups.size() * specAmps(spec, sub_qubits));
+    std::vector<SweepOp> ops =
+        buildSweepOps({&gate, 1}, plan.globalBits(), state.numQubits(),
+                      state.chunkBits());
+    const std::vector<Index> members = plan.perChunk()
+                                           ? std::vector<Index>{group}
+                                           : plan.members(group);
+    executeSweep(state, ops, plan.globalBits(), [&members](Index c) {
+        return !std::binary_search(members.begin(), members.end(), c);
+    });
 }
 
 void
@@ -512,132 +749,11 @@ applyGateChunked(ChunkedStateVector &state, const Gate &gate,
                  const ZeroPredicate &zero)
 {
     const WallClock wall;
-    const GatePlan plan(gate, state.numQubits(), state.chunkBits());
-
-    // The groups partition the chunk set: every chunk is a member of
-    // exactly one group, which is what makes the concurrent fan-out
-    // below race-free by construction.
-    if (plan.numGroups() * static_cast<Index>(plan.chunksPerGroup()) !=
-        state.numChunks())
-        QGPU_PANIC("gate plan does not partition the ",
-                   state.numChunks(), "-chunk state: ",
-                   plan.numGroups(), " groups x ",
-                   plan.chunksPerGroup(), " chunks");
-
-    const int threads = simThreads();
-    const bool bounded = state.boundedStorage();
-    // Run body(chunk) over every live chunk: the plain parallel
-    // fan-out, or (bounded storage) a pinned-block pipeline with
-    // asynchronous prefetch of the next block's refills.
-    const auto for_each_live_chunk = [&](double cost, auto &&body) {
-        if (!bounded) {
-            parallelFor(
-                0, plan.numGroups(), threads,
-                [&](std::uint64_t lo, std::uint64_t hi) {
-                    for (Index g = lo; g < hi; ++g) {
-                        if (zero && zero(g))
-                            continue;
-                        body(g);
-                    }
-                },
-                1, cost);
-            return;
-        }
-        ChunkResidency &res = *state.residency();
-        const std::vector<Index> live = liveChunks(state, zero);
-        runPinnedBlocks(
-            res, live, res.maxPinnedBlock(), expandChunk,
-            [&](std::span<const Index> blk) {
-                parallelFor(
-                    std::size_t{0}, blk.size(), threads,
-                    [&](std::uint64_t lo, std::uint64_t hi) {
-                        for (std::uint64_t i = lo; i < hi; ++i)
-                            body(blk[i]);
-                    },
-                    1, cost);
-            });
-    };
-    if (gate.isDiagonal()) {
-        const GateMatrix m = gate.matrix();
-        for_each_live_chunk(
-            static_cast<double>(state.chunkSize()), [&](Index g) {
-                applyDiagToChunk(state, m, gate.qubits, g);
-            });
-        recordKernelMetrics(diagKindOf(gate.numQubits()),
-                            stateSize(state.numQubits()));
-    } else if (plan.perChunk()) {
-        const KernelSpec spec = makeKernelSpec(gate);
-        for_each_live_chunk(
-            static_cast<double>(specAmps(spec, state.chunkBits())),
-            [&](Index g) { applySpecToChunk(state, spec, g); });
-        recordKernelMetrics(spec.kind,
-                            plan.numGroups() *
-                                specAmps(spec, state.chunkBits()));
-    } else {
-        const Gate remapped = remapGateForGroup(
-            gate, plan.globalBits(), state.chunkBits());
-        const KernelSpec spec = makeKernelSpec(remapped);
-        const int sub_qubits =
-            state.chunkBits() +
-            static_cast<int>(plan.globalBits().size());
-        const double cost =
-            static_cast<double>(specAmps(spec, sub_qubits));
-        if (!bounded) {
-            parallelFor(
-                0, plan.numGroups(), threads,
-                [&](std::uint64_t lo, std::uint64_t hi) {
-                    GroupScratch scratch;
-                    for (Index g = lo; g < hi; ++g) {
-                        // Compute the member list once per group; the
-                        // prune check and the apply below share it.
-                        plan.membersInto(g, scratch.members);
-                        if (zero) {
-                            const bool all_zero = std::all_of(
-                                scratch.members.begin(),
-                                scratch.members.end(),
-                                [&zero](Index c) { return zero(c); });
-                            if (all_zero)
-                                continue;
-                        }
-                        applyGroupPrepared(state, spec, plan, scratch);
-                    }
-                },
-                1, cost);
-        } else {
-            // Gather/scatter touch every member, so whole groups are
-            // pinned per block (same skip decision as above via
-            // liveGroups).
-            ChunkResidency &res = *state.residency();
-            const std::vector<Index> lg = liveGroups(plan, zero);
-            const Index per_block = std::max<Index>(
-                1, res.maxPinnedBlock() / plan.chunksPerGroup());
-            std::vector<Index> members;
-            runPinnedBlocks(
-                res, lg, per_block,
-                [&](Index g, std::vector<Index> &out) {
-                    plan.membersInto(g, members);
-                    out.insert(out.end(), members.begin(),
-                               members.end());
-                },
-                [&](std::span<const Index> blk) {
-                    parallelFor(
-                        std::size_t{0}, blk.size(), threads,
-                        [&](std::uint64_t lo, std::uint64_t hi) {
-                            GroupScratch scratch;
-                            for (std::uint64_t i = lo; i < hi; ++i) {
-                                plan.membersInto(blk[i],
-                                                 scratch.members);
-                                applyGroupPrepared(state, spec, plan,
-                                                   scratch);
-                            }
-                        },
-                        1, cost);
-                });
-        }
-        recordKernelMetrics(spec.kind,
-                            plan.numGroups() *
-                                specAmps(spec, sub_qubits));
-    }
+    const std::vector<int> G = gateGlobalBits(gate, state.chunkBits());
+    std::vector<SweepOp> ops = buildSweepOps(
+        {&gate, 1}, G, state.numQubits(), state.chunkBits());
+    executeSweep(state, ops, G, zero);
+    recordOpMetrics(ops);
     MetricsRegistry::global().observe("apply.wall_time",
                                       wall.seconds());
 }
@@ -651,223 +767,14 @@ applySweepChunked(ChunkedStateVector &state,
     if (gates.empty())
         return;
     const WallClock wall;
-    const int chunk_bits = state.chunkBits();
-    const int num_qubits = state.numQubits();
-    const Index chunk_size = state.chunkSize();
-    const std::vector<SweepOp> ops =
-        buildSweepOps(gates, global_bits, num_qubits, chunk_bits);
-    const int threads = simThreads();
-
-    if (global_bits.empty()) {
-        // Chunk-local sweep: each chunk is loaded once and every gate
-        // chains over it while it is cache-resident. A chunk that
-        // out-sizes the cache-derived sweep tile (common/cacheinfo.hh)
-        // is processed in aligned 2^tile_bits sub-blocks instead, so
-        // each op reads amplitudes the previous op just wrote while
-        // they are still L2-resident. The tile is widened until it
-        // clears every chunk-local target/control bit of the sweep:
-        // aligned tiles then contain whole work items of every op, so
-        // tiling only splits kernel ranges on work-item boundaries —
-        // bit-identical by the kernel range contract.
-        int tile_bits = sweepTileBits();
-        for (const SweepOp &op : ops) {
-            if (op.diag) {
-                for (const auto &[q, j] : op.low)
-                    tile_bits = std::max(tile_bits, q + 1);
-            } else {
-                for (int q : op.spec.qubits)
-                    tile_bits = std::max(tile_bits, q + 1);
-            }
-        }
-        tile_bits = std::min(tile_bits, chunk_bits);
-        const Index num_tiles = chunk_size >> tile_bits;
-        const Index tile_amps = Index{1} << tile_bits;
-        // Work items per tile for the non-diagonal ops: every op's
-        // item count is a power of two dividing the chunk's amplitude
-        // count, so it splits evenly across aligned tiles.
-        std::vector<Index> op_tile_items(ops.size(), 0);
-        for (std::size_t i = 0; i < ops.size(); ++i)
-            if (!ops[i].diag)
-                op_tile_items[i] =
-                    kernelWorkItems(ops[i].spec, chunk_bits) /
-                    num_tiles;
-        const auto run_chunk = [&](Index c) {
-            Amp *data = state.chunk(c).data();
-            for (Index t = 0; t < num_tiles; ++t) {
-                const Index a0 = t << tile_bits;
-                for (std::size_t i = 0; i < ops.size(); ++i) {
-                    const SweepOp &op = ops[i];
-                    if (!op.diag) {
-                        const Index per = op_tile_items[i];
-                        applyKernel(op.spec, data, chunk_bits,
-                                    t * per, (t + 1) * per);
-                        continue;
-                    }
-                    // op.low bits all fall below tile_bits, so
-                    // slice-local offsets select the same
-                    // diagonal entries as chunk offsets.
-                    int fixed = 0;
-                    for (const auto &[g, j] : op.groupSel)
-                        fixed |= static_cast<int>(bits::testBit(c, g))
-                                 << j;
-                    applyDiagFolded(data + a0, tile_amps, fixed,
-                                    op.low, op.dm);
-                }
-            }
-        };
-        const double chunk_cost = static_cast<double>(ops.size()) *
-                                  static_cast<double>(chunk_size);
-        if (!state.boundedStorage()) {
-            parallelFor(
-                0, state.numChunks(), threads,
-                [&](std::uint64_t lo, std::uint64_t hi) {
-                    for (Index c = lo; c < hi; ++c) {
-                        if (zero && zero(c))
-                            continue;
-                        run_chunk(c);
-                    }
-                },
-                1, chunk_cost);
-        } else {
-            // Bounded storage: pin a working-set-sized block of live
-            // chunks, compute it in parallel, and prefetch the next
-            // block's refills on the pool meanwhile.
-            ChunkResidency &res = *state.residency();
-            const std::vector<Index> live = liveChunks(state, zero);
-            runPinnedBlocks(
-                res, live, res.maxPinnedBlock(), expandChunk,
-                [&](std::span<const Index> blk) {
-                    parallelFor(
-                        std::size_t{0}, blk.size(), threads,
-                        [&](std::uint64_t lo, std::uint64_t hi) {
-                            for (std::uint64_t i = lo; i < hi; ++i)
-                                run_chunk(blk[i]);
-                        },
-                        1, chunk_cost);
-                });
-        }
-    } else {
-        const GatePlan plan(global_bits, num_qubits, chunk_bits);
-        if (plan.numGroups() *
-                static_cast<Index>(plan.chunksPerGroup()) !=
-            state.numChunks())
-            QGPU_PANIC("sweep plan does not partition the ",
-                       state.numChunks(), "-chunk state: ",
-                       plan.numGroups(), " groups x ",
-                       plan.chunksPerGroup(), " chunks");
-        const int sub_qubits =
-            chunk_bits + static_cast<int>(global_bits.size());
-        const int span = plan.chunksPerGroup();
-        const auto run_group = [&](Index g, GroupScratch &scratch,
-                                   std::vector<char> &live) {
-            plan.membersInto(g, scratch.members);
-            // Per-member liveness, computed once: the mask
-            // behind `zero` is constant across a sweep, and
-            // skip decisions must match gate-by-gate exactly
-            // (writing to a provably-zero chunk could flip
-            // signed-zero bits).
-            bool any_live = true;
-            if (zero) {
-                live.assign(span, 0);
-                any_live = false;
-                for (int m = 0; m < span; ++m)
-                    if (!zero(scratch.members[m])) {
-                        live[m] = 1;
-                        any_live = true;
-                    }
-            }
-            if (!any_live)
-                return;
-            prepareGathered(scratch, stateSize(sub_qubits));
-            state.gatherChunks(scratch.members,
-                               scratch.gathered.data());
-            Amp *reg = scratch.gathered.data();
-            for (const SweepOp &op : ops) {
-                if (op.cross) {
-                    // Whole gathered register, exactly like
-                    // gate-by-gate's group apply (which runs
-                    // when any member is live).
-                    applyKernel(op.spec, reg, sub_qubits);
-                    continue;
-                }
-                if (!op.diag) {
-                    for (int m = 0; m < span; ++m) {
-                        if (zero && !live[m])
-                            continue;
-                        applyKernel(op.spec, reg + m * chunk_size,
-                                    chunk_bits);
-                    }
-                    continue;
-                }
-                int group_fixed = 0;
-                for (const auto &[gb, j] : op.groupSel)
-                    group_fixed |= static_cast<int>(bits::testBit(
-                                       scratch.members[0], gb))
-                                   << j;
-                for (int m = 0; m < span; ++m) {
-                    if (zero && !live[m])
-                        continue;
-                    int fixed = group_fixed;
-                    for (const auto &[p, j] : op.memberSel)
-                        fixed |= static_cast<int>(bits::testBit(
-                                     static_cast<std::uint64_t>(m), p))
-                                 << j;
-                    applyDiagFolded(reg + m * chunk_size, chunk_size,
-                                    fixed, op.low, op.dm);
-                }
-            }
-            state.scatterChunks(scratch.members,
-                                scratch.gathered.data());
-        };
-        const double group_cost = static_cast<double>(ops.size()) *
-                                  static_cast<double>(chunk_size) *
-                                  static_cast<double>(span);
-        if (!state.boundedStorage()) {
-            parallelFor(
-                0, plan.numGroups(), threads,
-                [&](std::uint64_t lo, std::uint64_t hi) {
-                    GroupScratch scratch;
-                    std::vector<char> live;
-                    for (Index g = lo; g < hi; ++g)
-                        run_group(g, scratch, live);
-                },
-                1, group_cost);
-        } else {
-            // Bounded storage: gather/scatter touch every member of a
-            // group, so whole groups are pinned per block (all
-            // members, dead ones included — a Zero chunk zero-fills
-            // to exactly the bytes the raw path holds).
-            ChunkResidency &res = *state.residency();
-            const std::vector<Index> lg = liveGroups(plan, zero);
-            const Index per_block =
-                std::max<Index>(1, res.maxPinnedBlock() / span);
-            std::vector<Index> members;
-            runPinnedBlocks(
-                res, lg, per_block,
-                [&](Index g, std::vector<Index> &out) {
-                    plan.membersInto(g, members);
-                    out.insert(out.end(), members.begin(),
-                               members.end());
-                },
-                [&](std::span<const Index> blk) {
-                    parallelFor(
-                        std::size_t{0}, blk.size(), threads,
-                        [&](std::uint64_t lo, std::uint64_t hi) {
-                            GroupScratch scratch;
-                            std::vector<char> live;
-                            for (std::uint64_t i = lo; i < hi; ++i)
-                                run_group(blk[i], scratch, live);
-                        },
-                        1, group_cost);
-                });
-        }
-    }
+    std::vector<SweepOp> ops = buildSweepOps(
+        gates, global_bits, state.numQubits(), state.chunkBits());
+    executeSweep(state, ops, global_bits, zero);
 
     // Kernel counters once per gate per sweep, with the same modeled
     // totals applyGateChunked records; the sweep counters expose how
     // many full passes over the state the circuit actually cost.
-    for (const SweepOp &op : ops)
-        recordKernelMetrics(op.kind, op.amps);
+    recordOpMetrics(ops);
     auto &mr = MetricsRegistry::global();
     mr.add("sweep.count");
     mr.add("sweep.state_passes");

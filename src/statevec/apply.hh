@@ -10,17 +10,18 @@
  * every engine computes bit-identical states.
  *
  * Groups of one plan touch disjoint chunk sets, so applying many
- * groups concurrently is race-free by construction; applyGroups and
- * applyGateChunked fan the groups out across the shared thread pool
- * (common/thread_pool.hh) when simThreads() > 1. Each worker reuses
- * one GroupScratch across its groups, so the hot loop performs no
- * per-group heap allocation.
+ * groups concurrently is race-free by construction; the executors
+ * fan work out across the shared thread pool (common/thread_pool.hh)
+ * when simThreads() > 1.
  *
  * Gate application itself goes through the kernel-dispatch layer
  * (statevec/kernel_dispatch.hh): each gate is classified once into a
- * KernelKind, chunk-local groups run the specialized contiguous
- * kernels directly on the chunk, and cross-chunk groups are gathered
- * into a per-worker contiguous register, updated, and scattered back.
+ * KernelKind. Under raw storage the kernels run in place on the
+ * contiguous arena, over aligned host blocks that hold whole groups
+ * and span many modeled chunks. Under bounded storage (and for host
+ * blocks that are only partly live) chunk-local work runs on each
+ * chunk and cross-chunk groups are gathered into a per-worker
+ * register, updated, and scattered back. Both give the same bytes.
  */
 
 #ifndef QGPU_STATEVEC_APPLY_HH
@@ -79,38 +80,12 @@ class GatePlan
 };
 
 /**
- * Per-worker reusable buffers for group application: the member chunk
- * indices and the contiguous gather register. Cross-chunk groups are
- * gathered into @c gathered, updated there by the specialized
- * contiguous kernels (statevec/kernel_dispatch.hh), and scattered
- * back; reusing one instance per worker keeps the hot loop free of
- * per-group heap allocation. Capacity retained across groups is
- * bounded by scratchRetainAmps() (common/cacheinfo.hh): a single
- * oversized group may grow the buffer, but the excess is released
- * before the next gather instead of pinning the high-water mark.
- */
-struct GroupScratch
-{
-    std::vector<Index> members;
-    std::vector<Amp> gathered;
-};
-
-/**
  * Apply @p gate to the chunks of group @p group only. All other groups
  * are untouched; applying the gate to every group in any order yields
  * the full-state update.
  */
 void applyGroup(ChunkedStateVector &state, const Gate &gate,
                 const GatePlan &plan, Index group);
-
-/**
- * Apply @p gate to each listed group, fanned out across the thread
- * pool (simThreads() workers). Groups touch disjoint chunks, so the
- * concurrent application is race-free and bit-identical to the
- * sequential order.
- */
-void applyGroups(ChunkedStateVector &state, const Gate &gate,
-                 const GatePlan &plan, std::span<const Index> groups);
 
 /**
  * Apply @p gate to the whole chunked state, skipping groups whose
@@ -125,22 +100,23 @@ void applyGateChunked(ChunkedStateVector &state, const Gate &gate,
 
 /**
  * Apply one scheduled sweep (sched/sweep.hh) of @p gates in a single
- * chunk-major pass: instead of sweeping the whole state once per gate,
- * each chunk (or gathered cross-chunk register when @p global_bits is
- * non-empty) is loaded once and every gate of the sweep is chained
- * over it while it is cache-resident. One parallelFor dispatch covers
- * the whole sweep.
+ * pass: instead of sweeping the whole state once per gate, each host
+ * block (raw storage), chunk, or gathered cross-chunk register is
+ * loaded once and every gate of the sweep is chained over it while it
+ * is cache-resident. One parallelFor dispatch covers the whole sweep.
  *
  * Bit-identity contract: the result is bit-identical to running the
  * gates through applyGateChunked in order with the same @p zero
  * predicate. That holds because (a) the sweep partition refines or
  * equals each member gate's own partition, so per-amplitude operation
- * order is preserved, (b) gather/scatter are pure copies, and (c) the
- * executor makes exactly the same skip decisions: chunk-local and
- * diagonal work skips dead member chunks individually, cross-chunk
- * kernels run whenever any member is live. @p zero must be constant
- * across the sweep (sched/sweep.hh's involvement-boundary rule
- * guarantees the involvement mask is).
+ * order is preserved, (b) gather/scatter are pure copies and an
+ * in-place host block applies every amplitude's matrix entries in the
+ * same order, and (c) the executor makes exactly the same skip
+ * decisions: chunk-local and diagonal work skips dead member chunks
+ * individually, cross-chunk kernels run whenever any member is live,
+ * and a host block runs in place only when all its chunks are live.
+ * @p zero must be constant across the sweep (sched/sweep.hh's
+ * involvement-boundary rule guarantees the involvement mask is).
  *
  * Every gate must be chunk-local/diagonal or couple exactly the bits
  * in @p global_bits (sorted chunk-index positions) — i.e. the span
@@ -156,6 +132,25 @@ void applySweepChunked(ChunkedStateVector &state,
                        std::span<const Gate> gates,
                        const std::vector<int> &global_bits,
                        const ZeroPredicate &zero = {});
+
+/**
+ * Test-only RAII override: while it lives, raw-storage sweeps take
+ * the per-chunk and gather path that bounded storage uses instead of
+ * in-place host blocks, so the differential suites can compare the
+ * two host paths on one state. Process-wide, like
+ * ScopedScalarKernels.
+ */
+class ScopedGatherPath
+{
+  public:
+    ScopedGatherPath();
+    ~ScopedGatherPath();
+    ScopedGatherPath(const ScopedGatherPath &) = delete;
+    ScopedGatherPath &operator=(const ScopedGatherPath &) = delete;
+
+  private:
+    bool prev_;
+};
 
 /** Run a whole circuit sweep-by-sweep (nextSweep at the state's chunk
  *  size feeding applySweepChunked), the single-pass-per-sweep default

@@ -10,14 +10,8 @@ namespace qgpu
 {
 
 ChunkedStateVector::ChunkedStateVector(int num_qubits, int chunk_bits)
-    : numQubits_(num_qubits), chunkBits_(chunk_bits)
+    : ChunkedStateVector(num_qubits, chunk_bits, StorageConfig{})
 {
-    if (chunk_bits < 0 || chunk_bits > num_qubits)
-        QGPU_FATAL("chunk bits ", chunk_bits, " outside [0, ",
-                   num_qubits, "]");
-    chunks_.assign(numChunks(),
-                   std::vector<Amp>(chunkSize(), Amp{0, 0}));
-    chunks_[0][0] = Amp{1, 0};
 }
 
 ChunkedStateVector::ChunkedStateVector(int num_qubits, int chunk_bits,
@@ -29,38 +23,73 @@ ChunkedStateVector::ChunkedStateVector(int num_qubits, int chunk_bits,
         QGPU_FATAL("chunk bits ", chunk_bits, " outside [0, ",
                    num_qubits, "]");
     if (storage.kind == StorageKind::Raw) {
-        chunks_.assign(numChunks(),
-                       std::vector<Amp>(chunkSize(), Amp{0, 0}));
-        chunks_[0][0] = Amp{1, 0};
+        arena_.assign(stateSize(num_qubits), Amp{0, 0});
+        arena_[0] = Amp{1, 0};
         return;
     }
     // Bounded storage: every chunk starts elided (known zero); only
     // chunk 0 is materialized to hold the |0...0> amplitude. The full
     // register is never allocated at once.
-    chunks_.assign(numChunks(), std::vector<Amp>{});
+    slots_.assign(numChunks(), std::vector<Amp>{});
     setupResidency();
     residency_->ensure(0);
-    chunks_[0][0] = Amp{1, 0};
+    slots_[0][0] = Amp{1, 0};
 }
 
 void
 ChunkedStateVector::setupResidency()
 {
     residency_ = std::make_unique<ChunkResidency>(
-        storageCfg_, numChunks(), chunkSize(), chunks_);
+        storageCfg_, numChunks(), chunkSize(), slots_);
+}
+
+void
+ChunkedStateVector::joinSlots()
+{
+    residency_->materializeAll();
+    residency_.reset();
+    arena_.resize(stateSize(numQubits_));
+    for (Index c = 0; c < numChunks(); ++c)
+        std::ranges::copy(slots_[c], arena_.data() + (c << chunkBits_));
+    std::vector<std::vector<Amp>>().swap(slots_);
+}
+
+void
+ChunkedStateVector::splitArena()
+{
+    slots_.assign(numChunks(), std::vector<Amp>{});
+    for (Index c = 0; c < numChunks(); ++c) {
+        const Amp *src = arena_.data() + (c << chunkBits_);
+        slots_[c].assign(src, src + chunkSize());
+    }
+    std::vector<Amp>().swap(arena_);
+    setupResidency();
 }
 
 void
 ChunkedStateVector::configureStorage(const StorageConfig &storage)
 {
-    if (residency_) {
-        residency_->materializeAll();
-        residency_.reset();
-    }
+    if (residency_)
+        joinSlots();
     storageCfg_ = storage;
-    if (storage.kind == StorageKind::Raw)
-        return;
-    setupResidency();
+    if (storage.kind != StorageKind::Raw)
+        splitArena();
+}
+
+void
+ChunkedStateVector::reset()
+{
+    if (residency_) {
+        residency_.reset();
+        std::vector<std::vector<Amp>>(numChunks()).swap(slots_);
+        setupResidency();
+        residency_->ensure(0);
+        slots_[0][0] = Amp{1, 0};
+    } else {
+        std::fill(arena_.begin(), arena_.end(), Amp{0, 0});
+        arena_[0] = Amp{1, 0};
+    }
+    refreshPrecision();
 }
 
 void
@@ -72,31 +101,19 @@ ChunkedStateVector::rechunk(int new_bits)
         QGPU_FATAL("chunk bits ", new_bits, " outside [0, ",
                    numQubits_, "]");
 
-    // Re-partitioning permutes amplitudes across chunk boundaries;
-    // under bounded storage the simplest bit-identical route is to
-    // transiently materialize everything, re-partition raw, and
-    // re-scan into the new chunk geometry (enforcing the budget
-    // again at the end).
+    // Raw storage only relabels the arena. Bounded storage
+    // transiently materializes everything into the arena and re-scans
+    // it into the new chunk geometry (enforcing the budget again).
     const bool bounded = residency_ != nullptr;
-    if (bounded) {
-        residency_->materializeAll();
-        residency_.reset();
-    }
-
-    const Index new_count = Index{1} << (numQubits_ - new_bits);
-    const Index new_size = Index{1} << new_bits;
-    std::vector<std::vector<Amp>> next(
-        new_count, std::vector<Amp>(new_size));
-    for (Index i = 0; i < stateSize(numQubits_); ++i)
-        next[i >> new_bits][i & bits::lowMask(new_bits)] = amp(i);
-    chunks_ = std::move(next);
+    if (bounded)
+        joinSlots();
     chunkBits_ = new_bits;
     // Lane tags are per chunk; re-derive them for the new partition.
     // Amplitudes in fp32 lanes are already rounded, so no re-quantize
     // is needed (rounding is idempotent).
     retagChunks();
     if (bounded)
-        setupResidency();
+        splitArena();
 }
 
 bool
@@ -105,31 +122,10 @@ ChunkedStateVector::chunkIsZero(Index c) const
     if (residency_ &&
         residency_->stateOf(c) != ChunkResidency::State::Resident)
         return residency_->knownZero(c);
-    for (const Amp &a : chunks_[c])
+    for (const Amp &a : chunkData(c))
         if (a != Amp{0, 0})
             return false;
     return true;
-}
-
-void
-ChunkedStateVector::gatherChunks(std::span<const Index> members,
-                                 Amp *dst) const
-{
-    const Index size = chunkSize();
-    for (std::size_t s = 0; s < members.size(); ++s) {
-        const std::vector<Amp> &src = chunks_[members[s]];
-        std::copy(src.begin(), src.end(), dst + s * size);
-    }
-}
-
-void
-ChunkedStateVector::scatterChunks(std::span<const Index> members,
-                                  const Amp *src)
-{
-    const Index size = chunkSize();
-    for (std::size_t s = 0; s < members.size(); ++s)
-        std::copy(src + s * size, src + (s + 1) * size,
-                  chunks_[members[s]].begin());
 }
 
 StateVector
@@ -143,9 +139,16 @@ ChunkedStateVector::toFlat() const
             residency_->readChunk(c, &out[c << chunkBits_]);
         return out;
     }
-    for (Index i = 0; i < stateSize(numQubits_); ++i)
-        out[i] = amp(i);
+    std::ranges::copy(arena_, out.amplitudes().begin());
     return out;
+}
+
+StateVector
+ChunkedStateVector::takeFlat()
+{
+    if (residency_)
+        return toFlat();
+    return StateVector(numQubits_, std::move(arena_));
 }
 
 void
@@ -159,8 +162,7 @@ ChunkedStateVector::fromFlat(const StateVector &state)
             residency_->writeChunk(c, &state[c << chunkBits_]);
         return;
     }
-    for (Index i = 0; i < stateSize(numQubits_); ++i)
-        amp(i) = state[i];
+    std::ranges::copy(state.amplitudes(), arena_.begin());
 }
 
 double
@@ -176,7 +178,7 @@ ChunkedStateVector::norm() const
                 continue;
             const Amp *data;
             if (s == State::Resident) {
-                data = chunks_[c].data();
+                data = slots_[c].data();
             } else {
                 scratch.resize(chunkSize());
                 residency_->readChunk(c, scratch.data());
@@ -187,9 +189,8 @@ ChunkedStateVector::norm() const
         }
         return sum;
     }
-    for (const auto &c : chunks_)
-        for (const Amp &a : c)
-            sum += std::norm(a);
+    for (const Amp &a : arena_)
+        sum += std::norm(a);
     return sum;
 }
 
@@ -213,7 +214,7 @@ ChunkedStateVector::retagChunks()
         return;
     for (Index c = 0; c < numChunks(); ++c) {
         double max_mag = 0.0;
-        for (const Amp &a : chunks_[c]) {
+        for (const Amp &a : chunkData(c)) {
             max_mag = std::max(max_mag, std::abs(a.real()));
             max_mag = std::max(max_mag, std::abs(a.imag()));
         }
@@ -277,7 +278,7 @@ ChunkedStateVector::refreshPrecision()
                 // complex-typed narrowing that GCC 12 miscompiles
                 // (see quantizeAmpF32) and vectorizable.
                 double *raw =
-                    reinterpret_cast<double *>(chunks_[c].data());
+                    reinterpret_cast<double *>(chunkData(c).data());
                 const Index lanes = 2 * chunkSize();
                 for (Index i = 0; i < lanes; ++i)
                     raw[i] = static_cast<double>(

@@ -23,7 +23,10 @@ namespace qgpu
 
 /**
  * A state vector stored as 2^(n - chunkBits) chunks of 2^chunkBits
- * amplitudes each.
+ * amplitudes each. The chunks are the modeled geometry; raw storage
+ * holds the whole register in one contiguous arena of which chunk c is
+ * a span, bounded storage one slot per chunk (DESIGN.md "Host
+ * geometry vs modeled geometry").
  */
 class ChunkedStateVector
 {
@@ -72,52 +75,63 @@ class ChunkedStateVector
      * workers must touch pinned chunks exclusively, which are always
      * resident); the empty-slot check makes resident access free.
      */
-    std::vector<Amp> &chunk(Index c)
+    std::span<Amp> chunk(Index c)
     {
-        if (residency_ && chunks_[c].empty())
+        if (residency_ && slots_[c].empty())
             residency_->ensure(c);
-        return chunks_[c];
+        return chunkData(c);
     }
-    const std::vector<Amp> &chunk(Index c) const
+    std::span<const Amp> chunk(Index c) const
     {
-        if (residency_ && chunks_[c].empty())
+        if (residency_ && slots_[c].empty())
             residency_->ensure(c);
-        return chunks_[c];
+        return chunkData(c);
     }
+
+    /**
+     * The whole register as one contiguous span (raw storage; empty
+     * under bounded storage, whose chunks live in separate slots).
+     */
+    std::span<Amp> arena() { return arena_; }
+    std::span<const Amp> arena() const { return arena_; }
 
     /** Global amplitude accessor. */
     Amp &amp(Index i)
     {
+        if (!residency_)
+            return arena_[i];
         return chunk(i >> chunkBits_)[i & bits::lowMask(chunkBits_)];
     }
     const Amp &amp(Index i) const
     {
+        if (!residency_)
+            return arena_[i];
         return chunk(i >> chunkBits_)[i & bits::lowMask(chunkBits_)];
     }
 
+    /** Back to |0...0> at the current geometry, storage and
+     *  precision, reusing the raw arena's memory. */
+    void reset();
+
     /**
      * Re-partition into chunks of @p new_bits amplitudes. Used by the
-     * dynamic chunk-size selection of Algorithm 1.
+     * dynamic chunk-size selection of Algorithm 1. Under raw storage
+     * this only relabels the arena; no amplitude moves.
      */
     void rechunk(int new_bits);
 
     /** True iff every amplitude in chunk @p c is exactly zero. */
     bool chunkIsZero(Index c) const;
 
-    /**
-     * Copy the listed chunks, in order, into the contiguous buffer at
-     * @p dst (which must hold members.size() * chunkSize() amps).
-     * With @p members from GatePlan::membersInto this assembles the
-     * sub-register a cross-chunk gate group acts on; the dispatch
-     * layer runs its contiguous fast kernels on it and scatters back.
-     */
-    void gatherChunks(std::span<const Index> members, Amp *dst) const;
-
-    /** Inverse of gatherChunks: copy the buffer back into the chunks. */
-    void scatterChunks(std::span<const Index> members, const Amp *src);
-
     /** Copy out as a flat state vector. */
     StateVector toFlat() const;
+
+    /**
+     * The final state as a flat vector: under raw storage the arena
+     * itself is moved out, with no copy, and this object is left
+     * without amplitudes; under bounded storage, toFlat().
+     */
+    StateVector takeFlat();
 
     /** Load from a flat state vector (must match register size). */
     void fromFlat(const StateVector &state);
@@ -203,12 +217,34 @@ class ChunkedStateVector
     }
 
   private:
+    /** Chunk @p c's amplitudes, with no residency check. */
+    std::span<Amp> chunkData(Index c)
+    {
+        if (residency_)
+            return slots_[c];
+        return {arena_.data() + (c << chunkBits_), chunkSize()};
+    }
+    std::span<const Amp> chunkData(Index c) const
+    {
+        if (residency_)
+            return slots_[c];
+        return {arena_.data() + (c << chunkBits_), chunkSize()};
+    }
+
     void retagChunks();
     void setupResidency();
+    /** Bounded -> raw layout: materialize every slot into the arena
+     *  and drop the residency manager. */
+    void joinSlots();
+    /** Raw -> bounded layout under storageCfg_. */
+    void splitArena();
 
     int numQubits_;
     int chunkBits_;
-    std::vector<std::vector<Amp>> chunks_;
+    /** The register under raw storage; empty under bounded storage. */
+    std::vector<Amp> arena_;
+    /** One slot per chunk under bounded storage; empty under raw. */
+    std::vector<std::vector<Amp>> slots_;
     Precision precision_ = Precision::f64;
     double promoteThreshold_ = 1e-6;
     /** Per-chunk lane tag (1 = fp32); empty in f64 mode. */

@@ -1,6 +1,7 @@
 #include "statevec/kernel_dispatch.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 
 #include "common/bits.hh"
@@ -874,13 +875,26 @@ applyKernel(const KernelSpec &spec, Amp *data, int num_qubits,
 }
 
 void
-recordKernelMetrics(KernelKind kind, Index amps)
+recordKernelMetrics(KernelKind kind, Index amps, std::uint64_t calls)
 {
+    struct Names
+    {
+        std::string invocations, amps;
+    };
+    static const std::array<Names, numKernelKinds> names = [] {
+        std::array<Names, numKernelKinds> out;
+        for (int k = 0; k < numKernelKinds; ++k) {
+            const std::string base =
+                std::string("kernel.") +
+                kernelKindName(static_cast<KernelKind>(k));
+            out[k] = {base + ".invocations", base + ".amps"};
+        }
+        return out;
+    }();
+    const Names &n = names[static_cast<int>(kind)];
     auto &mr = MetricsRegistry::global();
-    const std::string base =
-        std::string("kernel.") + kernelKindName(kind);
-    mr.add(base + ".invocations");
-    mr.add(base + ".amps", static_cast<double>(amps));
+    mr.add(n.invocations, static_cast<double>(calls));
+    mr.add(n.amps, static_cast<double>(amps));
 }
 
 } // namespace qgpu

@@ -177,8 +177,8 @@ struct KernelSpec
     /** Diag2q lookup indexed by bit(tLo) | bit(tHi) << 1. */
     Amp lut[4] = {};
 
-    /** Full matrix for Dense2q / DenseK / DiagK. */
-    GateMatrix matrix{2};
+    /** Full matrix for Dense2q / DenseK / DiagK (empty otherwise). */
+    GateMatrix matrix{0};
 
     /** Tier the spec was lowered for (kernelTier() at build time). */
     KernelTier tier = KernelTier::Exact;
@@ -207,11 +207,13 @@ void applyKernel(const KernelSpec &spec, Amp *data, int num_qubits,
                  Index begin = 0, Index end = ~Index{0});
 
 /**
- * Publish one gate application's per-kind counters:
- * kernel.<kind>.invocations += 1, kernel.<kind>.amps += @p amps.
- * Callers pass the number of amplitudes actually written.
+ * Publish gate applications' per-kind counters:
+ * kernel.<kind>.invocations += @p calls, kernel.<kind>.amps +=
+ * @p amps. Callers pass the number of amplitudes actually written.
+ * The counter names are built once per kind, not per call.
  */
-void recordKernelMetrics(KernelKind kind, Index amps);
+void recordKernelMetrics(KernelKind kind, Index amps,
+                         std::uint64_t calls = 1);
 
 /**
  * Low-level contiguous kernels, exposed for the chunked diagonal

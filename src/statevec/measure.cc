@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -86,27 +87,35 @@ inverseCdfDraw(Index size, Rng &rng, Accumulate &&accumulate)
     return std::min<Index>(outcome, size - 1);
 }
 
+/** inverseCdfDraw over one contiguous register. */
+Index
+drawFromAmps(std::span<const Amp> amps, Rng &rng)
+{
+    return inverseCdfDraw(amps.size(), rng, [&](auto &&visit) {
+        for (Index i = 0; i < amps.size(); ++i)
+            if (!visit(std::norm(amps[i]), i))
+                return;
+    });
+}
+
 } // namespace
 
 Index
 sampleOutcome(const StateVector &state, Rng &rng)
 {
-    return inverseCdfDraw(
-        state.size(), rng, [&](auto &&visit) {
-            for (Index i = 0; i < state.size(); ++i)
-                if (!visit(std::norm(state[i]), i))
-                    return;
-        });
+    return drawFromAmps(state.amplitudes(), rng);
 }
 
 Index
 sampleOutcome(const ChunkedStateVector &state, Rng &rng)
 {
+    if (!state.boundedStorage())
+        return drawFromAmps(state.arena(), rng);
     const Index chunk_size = state.chunkSize();
     return inverseCdfDraw(
         state.numChunks() * chunk_size, rng, [&](auto &&visit) {
             for (Index c = 0; c < state.numChunks(); ++c) {
-                const auto &amps = state.chunk(c);
+                const std::span<const Amp> amps = state.chunk(c);
                 const Index base = c * chunk_size;
                 for (Index i = 0; i < chunk_size; ++i)
                     if (!visit(std::norm(amps[i]), base + i))

@@ -17,6 +17,14 @@ StateVector::StateVector(int num_qubits)
     amps_[0] = Amp{1, 0};
 }
 
+StateVector::StateVector(int num_qubits, std::vector<Amp> &&amps)
+    : numQubits_(num_qubits), amps_(std::move(amps))
+{
+    if (amps_.size() != stateSize(num_qubits))
+        QGPU_PANIC("adopted ", amps_.size(), " amplitudes for a ",
+                   num_qubits, "-qubit register");
+}
+
 void
 StateVector::apply(const Gate &gate)
 {

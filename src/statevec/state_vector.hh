@@ -24,6 +24,9 @@ class StateVector
     /** Initialize to |0...0>. */
     explicit StateVector(int num_qubits);
 
+    /** Adopt @p amps (2^num_qubits amplitudes) without copying. */
+    StateVector(int num_qubits, std::vector<Amp> &&amps);
+
     int numQubits() const { return numQubits_; }
     Index size() const { return static_cast<Index>(amps_.size()); }
 

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -393,7 +394,7 @@ TEST(BoundedState, TamperedRefillsFailTheBlockAndFillTheRest)
                           static_cast<std::int64_t>(block[1]));
             }
             for (const Index c : {block[0], block[2]}) {
-                const std::vector<Amp> &slot = state.chunk(c);
+                const std::span<const Amp> slot = state.chunk(c);
                 ASSERT_EQ(static_cast<Index>(slot.size()), chunk_size);
                 EXPECT_EQ(std::memcmp(slot.data(), &flat[c * chunk_size],
                                       chunk_size * sizeof(Amp)),
